@@ -87,9 +87,8 @@ class ContentionAwareScheduler(FilterScheduler):
         contention_scores: Mapping[str, float],
         contention_multiplier: float = 2.0,
         config: SchedulerConfig | None = None,
-        **kwargs,
     ) -> None:
-        super().__init__(region, placement, config, **kwargs)
+        super().__init__(region, placement, config)
         self.contention_scores = contention_scores
         self.contention_multiplier = contention_multiplier
         self._contention_weigher = ContentionWeigher(
@@ -117,9 +116,8 @@ class LifetimeAwareScheduler(FilterScheduler):
         churn_classes: Mapping[str, str],
         affinity_multiplier: float = 1.5,
         config: SchedulerConfig | None = None,
-        **kwargs,
     ) -> None:
-        super().__init__(region, placement, config, **kwargs)
+        super().__init__(region, placement, config)
         self.churn_classes = churn_classes
         self.affinity_multiplier = affinity_multiplier
         self._lifetime_weigher = LifetimeAffinityWeigher(affinity_multiplier)

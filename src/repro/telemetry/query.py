@@ -19,7 +19,7 @@ Examples::
 
 This module is also the single *programmatic* query surface: the
 :func:`query`, :func:`query_range` and :func:`instant` helpers delegate to
-the store, replacing the deprecated ``MetricStore.query_range``.
+the store.
 """
 
 from __future__ import annotations

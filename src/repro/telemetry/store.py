@@ -14,14 +14,12 @@ through an LRU cache that is invalidated by appends (the cache key
 carries the series' sample count, so a stale entry can never be served).
 
 The PromQL-ish front-end in :mod:`repro.telemetry.query` is the public
-query surface; the store-level :meth:`MetricStore.query_range` remains as
-a deprecated shim for one release.
+query surface.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from array import array
 from collections import OrderedDict
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -185,7 +183,7 @@ class MetricStore:
         Two stores fingerprint equal iff they hold the same series in the
         same insertion order with bit-identical timestamp/value buffers —
         the equivalence the columnar scrape path promises against the
-        legacy per-sample path.
+        per-sample reference.
         """
         h = hashlib.sha256()
         for (metric, labels), buf in self._series.items():
@@ -368,25 +366,6 @@ class MetricStore:
         if len(cache) > RANGE_CACHE_SIZE:
             cache.popitem(last=False)
         return result
-
-    def query_range(
-        self,
-        metric: str,
-        labels: dict[str, str] | Labels | None,
-        start: float,
-        end: float,
-    ) -> TimeSeries:
-        """Deprecated: use :func:`repro.telemetry.query.query_range`.
-
-        Kept as a shim for one release; delegates to :meth:`window`.
-        """
-        warnings.warn(
-            "MetricStore.query_range is deprecated; use "
-            "repro.telemetry.query.query_range (or MetricStore.window)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.window(metric, labels, start, end)
 
     def select(
         self, metric: str, matcher: dict[str, str] | None = None

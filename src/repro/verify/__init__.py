@@ -1,9 +1,11 @@
 """Differential verification harness (see DESIGN.md "Verification model").
 
-Four layers, unified behind ``repro verify``:
+Five layers, unified behind ``repro verify``:
 
 * :mod:`repro.verify.oracle` — differential scheduler oracle (naive vs
   indexed vs scalar-weigher replays of one pre-drawn workload);
+* :mod:`repro.verify.scrape` — the per-sample scrape reference the
+  runner's columnar scrape must match byte for byte;
 * :mod:`repro.verify.metamorphic` — metamorphic properties for the
   telemetry store and the scheduler;
 * :mod:`repro.verify.goldens` — golden-trace regression store under

@@ -22,7 +22,8 @@ Checks:
     former ``scripts/check_fault_determinism.sh`` and
     ``scripts/check_chaos_determinism.sh``.
 ``scrape_path``
-    Columnar vs legacy scrape path on a seeded two-day fault scenario:
+    The runner's columnar scrape vs the per-sample reference in
+    :mod:`repro.verify.scrape` on a seeded two-day fault scenario:
     placements, counters, scheduler stats, the fault report, and the
     telemetry store's content fingerprint must be byte-identical.
 ``sweep``
@@ -267,10 +268,12 @@ def _check_determinism_chaos(scenario: VerifyScenario, seed: int) -> CheckOutcom
 
 
 def _check_scrape_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
-    """Columnar and legacy scrape paths must be observationally identical.
+    """The runner's scrape must be observationally identical to the reference.
 
     The seeded fault scenario (stretched to two days so fault windows,
-    DRS rounds, and stale scrapes all occur) is run once per path and
+    DRS rounds, and stale scrapes all occur) is run once through
+    :class:`~repro.simulation.runner.RegionSimulation` and once through
+    :class:`~repro.verify.scrape.ReferenceScrapeSimulation`, each
     rendered to one canonical document covering everything downstream
     consumers can observe: final placements, lifecycle counters,
     scheduler stats, the fault report, and the telemetry store's
@@ -280,11 +283,11 @@ def _check_scrape_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
     from dataclasses import replace
 
     from repro.faults.scenario import run_fault_scenario
+    from repro.verify.scrape import run_reference_fault_scenario
 
-    base = replace(scenario.fault_scenario(seed), duration_days=2.0)
+    config = replace(scenario.fault_scenario(seed), duration_days=2.0)
 
-    def render(scrape_path: str) -> str:
-        result = run_fault_scenario(replace(base, scrape_path=scrape_path))
+    def render(result) -> str:
         doc = {
             "placements": {
                 vm_id: vm.node_id for vm_id, vm in sorted(result.vms.items())
@@ -302,16 +305,16 @@ def _check_scrape_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    columnar = render("columnar")
-    legacy = render("legacy")
-    ok = columnar == legacy
+    columnar = render(run_fault_scenario(config))
+    reference = render(run_reference_fault_scenario(config))
+    ok = columnar == reference
     diff = ""
     if not ok:
         diff = "".join(
             difflib.unified_diff(
-                legacy.splitlines(keepends=True),
+                reference.splitlines(keepends=True),
                 columnar.splitlines(keepends=True),
-                fromfile="legacy",
+                fromfile="reference",
                 tofile="columnar",
                 n=2,
             )
@@ -322,10 +325,10 @@ def _check_scrape_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
         seed=seed,
         ok=ok,
         summary=(
-            "columnar == legacy: placements, counters, fault report, "
+            "columnar == reference: placements, counters, fault report, "
             "store fingerprint byte-identical over 2 days"
             if ok
-            else "columnar scrape path DIVERGES from legacy"
+            else "columnar scrape path DIVERGES from the reference"
         ),
         diff=diff,
     )

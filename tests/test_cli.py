@@ -144,9 +144,17 @@ def test_faults_config_unknown_key_named(capsys, tmp_path):
 
 def test_faults_config_invalid_value_message(capsys, tmp_path):
     path = tmp_path / "neg.json"
-    path.write_text('{"host_failure_rate_per_day": -1}')
+    path.write_text('{"faults": {"host_failure_rate_per_day": -1}}')
     err = _run_expecting_exit_2(["faults", "--config", str(path)], capsys)
     assert "host_failure_rate_per_day must be >= 0" in err
+
+
+def test_faults_flat_config_rejected(capsys, tmp_path):
+    # The pre-ScenarioSpec flat FaultConfig shape is not a config file.
+    path = tmp_path / "flat.json"
+    path.write_text('{"host_failure_rate_per_day": 2.0}')
+    err = _run_expecting_exit_2(["faults", "--config", str(path)], capsys)
+    assert "unknown scenario config keys: host_failure_rate_per_day" in err
 
 
 def test_chaos_config_unknown_section(capsys, tmp_path):
@@ -159,7 +167,9 @@ def test_chaos_config_unknown_section(capsys, tmp_path):
 
 def test_chaos_config_bad_resilience_value(capsys, tmp_path):
     path = tmp_path / "res.json"
-    path.write_text('{"resilience": {"quarantine_backoff": 0.5}}')
+    path.write_text(
+        '{"topology": "chaos", "resilience": {"quarantine_backoff": 0.5}}'
+    )
     err = _run_expecting_exit_2(["chaos", "--config", str(path)], capsys)
     assert "quarantine_backoff must be >= 1" in err
 
@@ -167,7 +177,8 @@ def test_chaos_config_bad_resilience_value(capsys, tmp_path):
 def test_faults_valid_config_runs(capsys, tmp_path):
     path = tmp_path / "good.json"
     path.write_text(
-        '{"host_failure_rate_per_day": 2.0, "scrape_gap_probability": 0.01}'
+        '{"faults": {"seed": 7, "host_failure_rate_per_day": 2.0, '
+        '"scrape_gap_probability": 0.01}}'
     )
     out_path = tmp_path / "report.json"
     code = main(
@@ -180,7 +191,7 @@ def test_faults_valid_config_runs(capsys, tmp_path):
     assert code == 0
     report = json.loads(out_path.read_text())
     assert report["host_failures"] >= 0
-    # --seed flows into the injector when the file does not pin one.
+    # The file's faults section, seed included, drives the injector.
     assert report["seed"] == 7
 
 

@@ -2,17 +2,14 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from repro.config import (
     ScenarioSpec,
-    looks_like_legacy_chaos_dict,
-    looks_like_legacy_faults_dict,
     scheduler_config_from_dict,
     scheduler_config_to_dict,
-    spec_from_legacy_chaos_dict,
-    spec_from_legacy_faults_dict,
 )
 from repro.faults.config import FaultConfig
 from repro.faults.scenario import ScenarioConfig, scenario_topology
@@ -159,36 +156,46 @@ class TestRun:
         )
 
 
-class TestLegacyShims:
-    def test_flat_faults_dict_detected(self):
-        assert looks_like_legacy_faults_dict(
-            {"seed": 1, "host_failure_rate_per_day": 2.0}
+class TestLegacyShapes:
+    """The pre-ScenarioSpec ``--config`` shapes through the canonical path."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"faults": {"seed": 5, "host_failure_rate_per_day": 1.0}},
+            {"resilience": {"seed": 9}},
+            {"faults": {"seed": 2}, "resilience": {"seed": 9, "fail_fast": False}},
+        ],
+    )
+    def test_sections_only_chaos_file_replaces_only_its_sections(self, data):
+        from repro.cli import _scenario_spec_from_config
+        from repro.resilience.chaos import (
+            default_chaos_faults,
+            default_chaos_resilience,
         )
-        assert not looks_like_legacy_faults_dict({"faults": {}})
-        assert not looks_like_legacy_faults_dict({})
 
-    def test_sections_only_chaos_dict_detected(self):
-        assert looks_like_legacy_chaos_dict({"faults": {}, "resilience": {}})
-        assert not looks_like_legacy_chaos_dict({"topology": "chaos"})
-        assert not looks_like_legacy_chaos_dict({})
-
-    def test_faults_shim_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="ScenarioSpec"):
-            spec = spec_from_legacy_faults_dict(
-                {"seed": 5, "host_failure_rate_per_day": 1.0}, ScenarioSpec()
+        base = ScenarioSpec(
+            topology="chaos",
+            initial_vms=80,
+            faults=default_chaos_faults(),
+            resilience=default_chaos_resilience(),
+        )
+        expected = base
+        if "faults" in data:
+            expected = replace(expected, faults=FaultConfig.from_dict(data["faults"]))
+        if "resilience" in data:
+            expected = replace(
+                expected, resilience=ResilienceConfig.from_dict(data["resilience"])
             )
-        assert spec.faults.seed == 5
-        assert spec.faults.host_failure_rate_per_day == 1.0
+        got = _scenario_spec_from_config(data, base, "chaos", "sections.json")
+        assert got == expected
+        assert got.to_dict() == expected.to_dict()
 
-    def test_chaos_shim_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="ScenarioSpec"):
-            spec = spec_from_legacy_chaos_dict(
-                {"resilience": {"seed": 9}},
-                ScenarioSpec(topology="chaos", faults=FaultConfig(seed=2)),
-            )
-        assert spec.resilience.seed == 9
-        # The base's faults survive a resilience-only legacy file.
-        assert spec.faults.seed == 2
+    def test_flat_faults_dict_is_unknown_keys(self):
+        with pytest.raises(
+            ValueError, match="unknown scenario config keys: host_failure_rate_per_day"
+        ):
+            ScenarioSpec.from_dict({"seed": 1, "host_failure_rate_per_day": 2.0})
 
     def test_canonical_shape_does_not_warn(self):
         with warnings.catch_warnings():

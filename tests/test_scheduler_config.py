@@ -1,7 +1,7 @@
 """Tests for SchedulerConfig and the consolidated scheduler API.
 
-Covers the config value object itself, the deprecated keyword shims on
-``FilterScheduler``, the shared stats vocabulary, and — most importantly —
+Covers the config value object itself, the shared stats vocabulary, and
+— most importantly —
 placement equivalence: every (use_index, track_filter_counts) combination
 must produce byte-identical placements for the same request stream.
 """
@@ -13,7 +13,6 @@ from repro.infrastructure.topology import build_region
 from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.filters import (
     AvailabilityZoneFilter,
-    ComputeFilter,
     RetryFilter,
     default_filters,
 )
@@ -26,7 +25,6 @@ from repro.scheduler.stats import (
     normalize_stats,
     stats_of,
 )
-from repro.scheduler.weighers import RAMWeigher
 
 from tests.conftest import build_tiny_region_spec
 
@@ -86,45 +84,6 @@ class TestConfigObject:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             SchedulerConfig().use_index = False
-
-
-class TestDeprecatedShims:
-    @pytest.fixture
-    def region_placement(self, tiny_region):
-        placement = PlacementService()
-        for bb in tiny_region.iter_building_blocks():
-            placement.register_building_block(bb)
-        return tiny_region, placement
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 2},
-            {"alternates": 1},
-            {"weighers": [RAMWeigher(1.0)]},
-            {"filters": [ComputeFilter()]},
-        ],
-    )
-    def test_legacy_kwargs_warn_and_apply(self, region_placement, kwargs):
-        region, placement = region_placement
-        with pytest.warns(DeprecationWarning, match="pass a SchedulerConfig"):
-            scheduler = FilterScheduler(region, placement, **kwargs)
-        for key, value in kwargs.items():
-            assert getattr(scheduler.config, key) == value
-
-    def test_legacy_positional_filter_list_warns(self, region_placement):
-        region, placement = region_placement
-        chain = [ComputeFilter()]
-        with pytest.warns(DeprecationWarning):
-            scheduler = FilterScheduler(region, placement, chain)
-        assert scheduler.filters == chain
-
-    def test_config_plus_legacy_kwarg_is_an_error(self, region_placement):
-        region, placement = region_placement
-        with pytest.raises(TypeError, match="not both"):
-            FilterScheduler(
-                region, placement, SchedulerConfig(), max_attempts=2
-            )
 
 
 class TestPlacementEquivalence:

@@ -1,14 +1,16 @@
 """Byte-identity of the columnar scrape fast-path.
 
-The columnar path (series handles + compiled waveforms, zero Sample
-objects) must be observationally indistinguishable from the legacy
-per-sample path: same placements, same counters, same telemetry bytes.
-`repro verify --check scrape_path` holds this on the canned scenarios;
-these tests hold the building blocks (SeriesHandle, content_fingerprint,
-emit_node/emit_region vs scrape_node/scrape_region) and an end-to-end
-faulted run small enough for the unit suite.
+The runner's columnar scrape (series handles + compiled waveforms, zero
+Sample objects) must be observationally indistinguishable from the
+per-sample reference in :mod:`repro.verify.scrape`: same placements,
+same counters, same telemetry bytes.  `repro verify --check scrape_path`
+holds this on the canned scenarios; these tests hold the building blocks
+(SeriesHandle, content_fingerprint, emit_node/emit_region vs
+scrape_node/scrape_region), an end-to-end faulted run small enough for
+the unit suite, and a self-test that the check detects a perturbed value.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -20,6 +22,9 @@ from repro.infrastructure.vm import VM
 from repro.simulation.runner import SimulationConfig
 from repro.telemetry.exporters import NodeUsage, NovaExporter, VropsExporter
 from repro.telemetry.store import MetricStore
+from repro.verify.runner import _check_scrape_path
+from repro.verify.scenarios import get_scenario
+from repro.verify.scrape import run_reference_fault_scenario
 from tests.conftest import make_node
 
 
@@ -140,29 +145,26 @@ class TestEmitParity:
 
 
 class TestEndToEndScrapePath:
-    def _run(self, scrape_path: str):
-        config = ScenarioConfig(
-            building_blocks=2,
-            nodes_per_bb=3,
-            duration_days=0.25,
-            initial_vms=24,
-            arrival_rate_per_hour=8.0,
-            scrape_interval_s=900.0,
-            faults=FaultConfig(
-                seed=11,
-                host_failure_rate_per_day=12.0,
-                repair_time_mean_s=1800.0,
-                migration_abort_fraction=0.2,
-                scrape_gap_probability=0.05,
-                stale_node_probability=0.05,
-            ),
-            scrape_path=scrape_path,
-        )
-        return run_fault_scenario(config)
+    CONFIG = ScenarioConfig(
+        building_blocks=2,
+        nodes_per_bb=3,
+        duration_days=0.25,
+        initial_vms=24,
+        arrival_rate_per_hour=8.0,
+        scrape_interval_s=900.0,
+        faults=FaultConfig(
+            seed=11,
+            host_failure_rate_per_day=12.0,
+            repair_time_mean_s=1800.0,
+            migration_abort_fraction=0.2,
+            scrape_gap_probability=0.05,
+            stale_node_probability=0.05,
+        ),
+    )
 
     def test_columnar_byte_identical_to_legacy_under_faults(self):
-        fast = self._run("columnar")
-        slow = self._run("legacy")
+        fast = run_fault_scenario(self.CONFIG)
+        slow = run_reference_fault_scenario(self.CONFIG)
         assert {v: vm.node_id for v, vm in fast.vms.items()} == {
             v: vm.node_id for v, vm in slow.vms.items()
         }
@@ -182,53 +184,28 @@ class TestEndToEndScrapePath:
         assert fast.fault_report.to_json() == slow.fault_report.to_json()
 
     def test_unknown_scrape_path_rejected(self):
-        with pytest.raises(ValueError, match="scrape_path"):
-            run_fault_scenario(
-                ScenarioConfig(duration_days=0.01, scrape_path="turbo")
-            )
+        # The runner has one scrape path; no config field selects another.
+        with pytest.raises(TypeError, match="scrape_path"):
+            ScenarioConfig(duration_days=0.01, scrape_path="legacy")
+        with pytest.raises(TypeError, match="scrape_path"):
+            SimulationConfig(scrape_path="legacy")
 
-    def test_profile_stages_accounts_scrape_time(self):
-        config = ScenarioConfig(
-            building_blocks=1,
-            nodes_per_bb=2,
-            duration_days=0.1,
-            initial_vms=8,
-            arrival_rate_per_hour=4.0,
-        )
-        from repro.faults.scenario import scenario_topology
-        from repro.simulation.runner import RegionSimulation
 
-        sim = RegionSimulation(
-            scenario_topology(config),
-            SimulationConfig(
-                duration_days=config.duration_days,
-                initial_vms=config.initial_vms,
-                arrival_rate_per_hour=config.arrival_rate_per_hour,
-                scrape_interval_s=config.scrape_interval_s,
-                profile_stages=True,
-            ),
-        )
-        result = sim.run()
-        profile = result.stage_profile
-        assert profile is not None
-        assert set(profile) == {
-            "demand_eval",
-            "exporter_format",
-            "ingest",
-            "scheduler",
-            "drs",
-        }
-        assert all(v >= 0.0 for v in profile.values())
-        assert profile["demand_eval"] > 0.0
+class TestScrapePathCheckSelfTest:
+    """The ``scrape_path`` check must fail when the fast path drifts."""
 
-    def test_profile_off_by_default(self):
-        result = run_fault_scenario(
-            replace(
-                ScenarioConfig(),
-                building_blocks=1,
-                nodes_per_bb=2,
-                duration_days=0.05,
-                initial_vms=4,
-            )
-        )
-        assert result.stage_profile is None
+    def test_one_perturbed_emitted_value_is_detected(self, monkeypatch):
+        original = VropsExporter.emit_node
+        perturbed = []
+
+        def emit_node(self, store, node, usage, timestamp):
+            if not perturbed and not math.isnan(usage.disk_used_gb):
+                perturbed.append(node.node_id)
+                usage = replace(usage, disk_used_gb=usage.disk_used_gb + 1.0)
+            return original(self, store, node, usage, timestamp)
+
+        monkeypatch.setattr(VropsExporter, "emit_node", emit_node)
+        outcome = _check_scrape_path(get_scenario("tiny"), 7)
+        assert perturbed
+        assert not outcome.ok
+        assert "store_fingerprint" in outcome.diff
