@@ -2,9 +2,9 @@
 
 Runs the same one-day regional workload three ways — happy path, moderate
 chaos, heavy chaos — and prints what the fault layer injected and how the
-evacuation/retry machinery coped.  The final JSON line is the heavy
-scenario's FaultReport: it is byte-stable per seed, which the CI smoke job
-relies on (same seed ⇒ same sha256).
+evacuation/retry machinery coped.  The final JSON is the heavy
+scenario's FaultReport: it is byte-stable per seed, which
+``tests/test_examples_smoke.py`` relies on (same seed ⇒ same sha256).
 
 Usage::
 
@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 
+from repro.config import ScenarioSpec
 from repro.faults import FaultConfig
-from repro.faults.scenario import ScenarioConfig, run_fault_scenario
 
 
 def scenario(name: str, seed: int, days: float, faults: FaultConfig, json_only: bool):
-    config = ScenarioConfig(duration_days=days, seed=seed, faults=faults)
-    result = run_fault_scenario(config)
+    result = ScenarioSpec(duration_days=days, seed=seed, faults=faults).run()
     report = result.fault_report
     if not json_only:
         print(f"=== {name} ===")
@@ -71,7 +70,7 @@ def main() -> int:
         ),
         args.json_only,
     )
-    print(heavy.to_json())
+    print(heavy.canonical_json(), end="")
     return 0
 
 

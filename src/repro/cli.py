@@ -334,7 +334,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         _write_out(report, args.out, "faults")
         print(f"Wrote {args.out}", file=sys.stderr)
     else:
-        print(report.to_json())
+        print(report.canonical_json(), end="")
     if report.dead_letters:
         # Unrecovered VMs are an operator-facing failure: summarise them
         # and exit non-zero so scripts and CI notice.
@@ -362,26 +362,15 @@ def _dead_letter_table(report) -> str:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.config import ScenarioSpec
     from repro.resilience.chaos import (
+        CHAOS_SPEC,
         ChaosSummary,
         default_chaos_faults,
-        default_chaos_resilience,
     )
 
-    faults = (
-        default_chaos_faults(args.fault_seed)
-        if args.fault_seed is not None
-        else default_chaos_faults()
-    )
-    spec = ScenarioSpec(
-        topology="chaos",
-        duration_days=args.days,
-        seed=args.seed,
-        initial_vms=80,
-        faults=faults,
-        resilience=default_chaos_resilience(),
-    )
+    spec = replace(CHAOS_SPEC, duration_days=args.days, seed=args.seed)
+    if args.fault_seed is not None:
+        spec = replace(spec, faults=default_chaos_faults(args.fault_seed))
     if args.config:
         data = _load_config_file(args.config, "chaos")
         spec = _scenario_spec_from_config(data, spec, "chaos", args.config)

@@ -2,13 +2,12 @@
 
 Every CLI in this repo ultimately runs the same thing — a seeded
 :class:`~repro.simulation.runner.RegionSimulation` over some topology
-with some mix of scheduler / fault / resilience knobs — yet each grew
-its own config shape (``repro faults --config`` took flat
-:class:`~repro.faults.config.FaultConfig` fields, ``repro chaos
---config`` took ``{"faults": ..., "resilience": ...}`` sections).
-:class:`ScenarioSpec` collapses that surface into one JSON-able value
-object that composes all three layers plus the simulation knobs, and is
-the unit the :mod:`repro.sweep` engine shards across worker processes.
+with some mix of scheduler / fault / resilience knobs.
+:class:`ScenarioSpec` is the only description of such a run: one
+JSON-able value object that composes all three layers plus the
+simulation knobs.  ``repro faults``, ``repro chaos``, ``repro verify``
+and the :mod:`repro.sweep` engine (which shards specs across worker
+processes) all run through it.
 
 Canonical JSON shape (all keys optional, unknown keys rejected)::
 
@@ -240,8 +239,7 @@ class ScenarioSpec:
         if self.topology == "paper":
             return paper_region_spec(scale=self.region_scale)
         if self.topology == "chaos":
-            # Mirrors repro.resilience.chaos.chaos_topology: two AZs of
-            # uniform general-purpose blocks.
+            # Two AZs of uniform general-purpose blocks.
             return TopologySpec(
                 region_id="chaos-lab",
                 datacenters=tuple(
@@ -259,9 +257,8 @@ class ScenarioSpec:
                     for az in (1, 2)
                 ),
             )
-        # "lab": mirrors repro.faults.scenario.scenario_topology — one DC
-        # of uniform general-purpose blocks (same ids, so fault traces
-        # replayed through a spec are byte-identical to the legacy path).
+        # "lab": one DC of uniform general-purpose blocks.  The goldens
+        # depend on the region, DC and BB ids of both hand-built regions.
         return TopologySpec(
             region_id="fault-lab",
             datacenters=(

@@ -40,13 +40,6 @@ class UtilizationBreakdown:
     overutilized: float
     vm_count: int
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "underutilized": self.underutilized,
-            "optimal": self.optimal,
-            "overutilized": self.overutilized,
-        }
-
 
 def utilization_breakdown(
     dataset: SAPCloudDataset, resource: str = "cpu"

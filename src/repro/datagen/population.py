@@ -74,10 +74,6 @@ class VMRecord:
     resizes: list[tuple[float, Flavor, Flavor]] = field(default_factory=list)
 
     @property
-    def alive_at_start(self) -> bool:
-        return self.created_at <= 0 or self.created_at < self.deleted_or_inf
-
-    @property
     def deleted_or_inf(self) -> float:
         return np.inf if self.deleted_at is None else self.deleted_at
 

@@ -17,14 +17,15 @@ The subsystem's parts:
   VMs through the scheduler with backoff, dead-lettering the unplaceable;
 - :mod:`repro.faults.crashpoints` — control-plane process death at named
   barriers (:class:`~repro.faults.crashpoints.CrashInjector`) and
-  byte-level journal corruption.  Imported separately (like
-  ``repro.faults.scenario``) because it depends on :mod:`repro.recovery`,
-  which would cycle back through this package.
+  byte-level journal corruption.  Imported separately because it
+  depends on :mod:`repro.recovery`, which would cycle back through this
+  package.
 
 Everything reports into one :class:`~repro.faults.report.FaultReport`,
-whose JSON rendering is byte-stable per seed.  ``repro.faults.scenario``
-(imported separately to avoid a cycle with the runner) packages a ready
-end-to-end scenario used by the CLI, the example, and the CI smoke test.
+whose JSON rendering is byte-stable per seed.  A fault scenario is a
+:class:`~repro.config.ScenarioSpec` with a ``faults`` section; ``repro
+faults``, the example and the ``determinism_faults`` check of ``repro
+verify`` all run one.
 """
 
 from repro.faults.config import FaultConfig

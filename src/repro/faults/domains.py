@@ -81,11 +81,3 @@ class ScrapePartition:
                 self.blackholed_scrapes += 1
                 return True
         return False
-
-    @property
-    def active_nodes(self) -> frozenset[str]:
-        """Union of all currently partitioned nodes."""
-        out: frozenset[str] = frozenset()
-        for members in self._active.values():
-            out |= members
-        return out

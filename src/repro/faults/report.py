@@ -2,14 +2,15 @@
 
 The report is the scenario's primary artefact: counters for every injected
 fault class, the evacuation latency distribution, a retry histogram, and
-the dead-letter queue.  :meth:`FaultReport.to_json` is deterministic
+the dead-letter queue.  Its inherited
+:meth:`~repro.reporting.ReportBase.canonical_json` is deterministic
 (sorted keys, fixed float handling) so two runs with the same seed produce
-byte-identical output — the CI smoke job hashes it.
+byte-identical output — the ``determinism_faults`` check of
+``repro verify`` hashes it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.reporting import ReportBase
@@ -132,10 +133,6 @@ class FaultReport(ReportBase):
                 d.to_dict() for d in sorted(self.dead_letters, key=lambda d: d.vm_id)
             ],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Byte-stable JSON rendering (sorted keys, no locale dependence)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def render(self) -> str:
         """Human-oriented one-screen summary."""

@@ -136,10 +136,6 @@ class Frame:
         for i in range(len(self)):
             yield self.row(i)
 
-    def to_records(self) -> list[dict[str, Any]]:
-        """All rows as a list of dicts."""
-        return list(self.rows())
-
     # -- column-level edits (return new frames) -----------------------------
 
     def with_column(self, name: str, values: Any) -> "Frame":

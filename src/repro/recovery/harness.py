@@ -18,7 +18,6 @@ Work happens in throwaway temp directories that are removed afterwards.
 
 from __future__ import annotations
 
-import json
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -139,9 +138,6 @@ class CrashReport(ReportBase):
             "corruption": [c.to_dict() for c in self.corruption],
             "ok": self.ok,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def render(self) -> str:
         lines = [

@@ -19,9 +19,12 @@ when ``SimulationConfig.resilience`` is set:
   quarantine fences respected), failing fast with a structured report.
 
 Everything reports into one deterministic
-:class:`~repro.resilience.report.ResilienceReport`; the chaos scenario in
+:class:`~repro.resilience.report.ResilienceReport`.
 :mod:`repro.resilience.chaos` (imported separately to avoid a cycle with
-the runner) is the end-to-end exercise the ``chaos-smoke`` CI job hashes.
+the runner) holds the chaos preset, a
+:class:`~repro.config.ScenarioSpec` that ``repro chaos`` and the
+``determinism_chaos`` check of ``repro verify`` run, and its summary
+report.
 """
 
 from repro.resilience.admission import AdmissionController, AdmissionRejected

@@ -7,31 +7,24 @@ host, AZ- and BB-scoped outages, and exporter↔store scrape partitions.
 Two AZs are the minimum honest topology — an AZ outage must hurt without
 being able to kill the whole region.
 
-The acceptance bar (mirrored by the ``chaos-smoke`` CI job) is that a
+The scenario is one :class:`~repro.config.ScenarioSpec`,
+:data:`CHAOS_SPEC`; :class:`ChaosSummary` is its report.  The acceptance
+bar (the ``determinism_chaos`` check of ``repro verify``) is that a
 seeded run completes with **zero invariant violations** and a
-byte-identical :class:`~repro.resilience.report.ResilienceReport` across
-repeats.  Kept out of ``repro.resilience.__init__`` because it imports
-the simulation runner (which imports the resilience services).
+byte-identical summary across repeats.  Kept out of
+``repro.resilience.__init__`` because it imports the simulation runner
+(which imports the resilience services).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.config import ScenarioSpec
 from repro.faults.config import FaultConfig
-from repro.infrastructure.topology import (
-    BuildingBlockSpec,
-    DatacenterSpec,
-    TopologySpec,
-)
 from repro.reporting import ReportBase
 from repro.resilience.config import ResilienceConfig
-from repro.simulation.runner import (
-    RegionSimulation,
-    SimulationConfig,
-    SimulationResult,
-)
+from repro.simulation.runner import SimulationResult
 
 
 def default_chaos_faults(seed: int = 24) -> FaultConfig:
@@ -72,88 +65,15 @@ def default_chaos_resilience(seed: int = 101) -> ResilienceConfig:
     )
 
 
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Shape, workload, and fault/resilience mix of the chaos scenario."""
-
-    building_blocks_per_az: int = 2
-    nodes_per_bb: int = 4
-    duration_days: float = 1.0
-    seed: int = 7
-    arrival_rate_per_hour: float = 12.0
-    initial_vms: int = 80
-    scrape_interval_s: float = 900.0
-    drs_interval_s: float = 3600.0
-    faults: FaultConfig = field(default_factory=default_chaos_faults)
-    resilience: ResilienceConfig = field(default_factory=default_chaos_resilience)
-
-    def __post_init__(self) -> None:
-        if self.building_blocks_per_az < 1 or self.nodes_per_bb < 1:
-            raise ValueError("need at least one building block and node per AZ")
-        if self.duration_days <= 0:
-            raise ValueError("duration_days must be positive")
-
-
-def chaos_topology(config: ChaosConfig) -> TopologySpec:
-    """Two AZs of uniform general-purpose building blocks."""
-    return TopologySpec(
-        region_id="chaos-lab",
-        datacenters=tuple(
-            DatacenterSpec(
-                dc_id=f"dc{az}",
-                az_id=f"az{az}",
-                building_blocks=tuple(
-                    BuildingBlockSpec(
-                        bb_id=f"az{az}-bb{i}", node_count=config.nodes_per_bb
-                    )
-                    for i in range(config.building_blocks_per_az)
-                ),
-            )
-            for az in (1, 2)
-        ),
-    )
-
-
-def run_chaos_scenario(
-    config: ChaosConfig | None = None, journal=None
-) -> SimulationResult:
-    """Run the chaos scenario once; the result carries both reports.
-
-    ``journal`` (a callable taking one JSON-able dict) receives every
-    control-plane audit record — sim-clock advances, placement claims
-    and releases, quarantine transitions, admission decisions — in
-    event order; ``repro chaos --journal`` plugs a write-ahead
-    :class:`~repro.recovery.journal.JournalWriter` in here.
-    """
-    config = config or ChaosConfig()
-    sim = RegionSimulation(
-        chaos_topology(config),
-        SimulationConfig(
-            duration_days=config.duration_days,
-            scrape_interval_s=config.scrape_interval_s,
-            drs_interval_s=config.drs_interval_s,
-            arrival_rate_per_hour=config.arrival_rate_per_hour,
-            initial_vms=config.initial_vms,
-            seed=config.seed,
-            faults=config.faults,
-            resilience=config.resilience,
-        ),
-        journal=journal,
-    )
-    return sim.run()
-
-
-def chaos_summary(result: SimulationResult) -> dict:
-    """Deterministic JSON-ready digest of one chaos run (hashed by CI)."""
-    stats = result.scheduler_stats
-    return {
-        "fault_report": result.fault_report.to_dict(),
-        "resilience_report": result.resilience_report.to_dict(),
-        "scheduler_stats": {k: stats[k] for k in sorted(stats)},
-        "created": result.created,
-        "deleted": result.deleted,
-        "rejected": result.rejected,
-    }
+#: The chaos scenario: two AZs of uniform general-purpose blocks, 80 VMs
+#: at the start, the full fault mix against the full resilience stack.
+#: ``repro chaos`` and the verify checks ``replace`` fields of it.
+CHAOS_SPEC = ScenarioSpec(
+    topology="chaos",
+    initial_vms=80,
+    faults=default_chaos_faults(),
+    resilience=default_chaos_resilience(),
+)
 
 
 @dataclass
@@ -167,7 +87,16 @@ class ChaosSummary(ReportBase):
     result: SimulationResult
 
     def to_dict(self) -> dict:
-        return chaos_summary(self.result)
+        """Deterministic JSON-ready digest of the run (hashed by CI)."""
+        stats = self.result.scheduler_stats
+        return {
+            "fault_report": self.result.fault_report.to_dict(),
+            "resilience_report": self.result.resilience_report.to_dict(),
+            "scheduler_stats": {k: stats[k] for k in sorted(stats)},
+            "created": self.result.created,
+            "deleted": self.result.deleted,
+            "rejected": self.result.rejected,
+        }
 
     def render(self) -> str:
         return (
@@ -176,7 +105,3 @@ class ChaosSummary(ReportBase):
             + self.result.fault_report.render()
         )
 
-
-def chaos_summary_json(result: SimulationResult, indent: int | None = 2) -> str:
-    """Byte-stable rendering of :func:`chaos_summary`."""
-    return json.dumps(chaos_summary(result), indent=indent, sort_keys=True)

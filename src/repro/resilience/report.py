@@ -2,13 +2,13 @@
 
 Mirrors :class:`~repro.faults.report.FaultReport`: one dataclass holding
 every counter the resilience services produce, with a deterministic
-``to_json`` (sorted keys, rounded floats) so two seeded runs hash
-identically — the chaos-smoke CI gate relies on it.
+``to_dict`` (sorted collections, rounded floats) so two seeded runs hash
+identically — the ``determinism_chaos`` check of ``repro verify`` relies
+on it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.reporting import ReportBase
@@ -139,10 +139,6 @@ class ResilienceReport(ReportBase):
                 ],
             },
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Byte-stable JSON rendering (sorted keys, rounded floats)."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def render(self) -> str:
         """Human-oriented one-screen summary."""

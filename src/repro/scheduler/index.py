@@ -109,10 +109,6 @@ class HostStateIndex:
         if host_id in self._bbs:
             self._dirty.add(host_id)
 
-    def invalidate_all(self) -> None:
-        """Force a full rebuild on the next :meth:`refresh`."""
-        self._dirty.update(self._bbs)
-
     def refresh(self) -> None:
         """Bring every cached state up to date (fingerprint scan + rebuilds)."""
         dirty = self._dirty

@@ -118,11 +118,6 @@ class PlacementService:
         """Subscribe a write-ahead journal to claims/releases/moves."""
         self._journal_sinks.append(sink)
 
-    def remove_journal_sink(self, sink: PlacementJournalSink) -> None:
-        """Unsubscribe a journal sink (no-op if absent)."""
-        if sink in self._journal_sinks:
-            self._journal_sinks.remove(sink)
-
     def _notify(self, event: str, provider_id: str) -> None:
         for listener in self._listeners:
             listener(event, provider_id)

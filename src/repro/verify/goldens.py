@@ -82,12 +82,11 @@ def _telemetry_digest(store) -> dict:
 
 def golden_document(scenario: VerifyScenario, seed: int) -> dict:
     """Recompute the full golden document for one (scenario, seed)."""
-    from repro.faults.scenario import run_fault_scenario
-    from repro.resilience.chaos import chaos_summary, run_chaos_scenario
+    from repro.resilience.chaos import ChaosSummary
 
     ops = workload_ops(scenario, seed)
     replay = replay_workload(scenario.topology(), ops, _INDEXED, variant="golden")
-    fault_result = run_fault_scenario(scenario.fault_scenario(seed))
+    fault_result = scenario.fault_scenario(seed).run()
     doc = {
         "format": GOLDEN_FORMAT,
         "scenario": scenario.name,
@@ -105,7 +104,7 @@ def golden_document(scenario: VerifyScenario, seed: int) -> dict:
             "telemetry": _telemetry_digest(fault_result.store),
         },
         "chaos": (
-            chaos_summary(run_chaos_scenario(scenario.chaos_scenario(seed)))
+            ChaosSummary(scenario.chaos_scenario(seed).run()).to_dict()
             if scenario.include_chaos
             else None
         ),

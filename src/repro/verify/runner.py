@@ -134,10 +134,6 @@ class VerifyReport(ReportBase):
             "outcomes": [o.to_dict() for o in self.outcomes],
         }
 
-    def to_json(self) -> str:
-        """Byte-stable JSON rendering (sorted keys, no volatile fields)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     def render(self) -> str:
         lines = []
         for o in self.outcomes:
@@ -232,11 +228,8 @@ def _twice_diff(render_once) -> tuple[bool, str]:
 
 
 def _check_determinism_faults(scenario: VerifyScenario, seed: int) -> CheckOutcome:
-    from repro.faults.scenario import run_fault_scenario
-
-    ok, diff = _twice_diff(
-        lambda: run_fault_scenario(scenario.fault_scenario(seed)).fault_report.to_json()
-    )
+    spec = scenario.fault_scenario(seed)
+    ok, diff = _twice_diff(lambda: spec.run().fault_report.canonical_json())
     return CheckOutcome(
         check="determinism_faults",
         scenario=scenario.name,
@@ -250,11 +243,10 @@ def _check_determinism_faults(scenario: VerifyScenario, seed: int) -> CheckOutco
 
 
 def _check_determinism_chaos(scenario: VerifyScenario, seed: int) -> CheckOutcome:
-    from repro.resilience.chaos import chaos_summary_json, run_chaos_scenario
+    from repro.resilience.chaos import ChaosSummary
 
-    ok, diff = _twice_diff(
-        lambda: chaos_summary_json(run_chaos_scenario(scenario.chaos_scenario(seed)))
-    )
+    spec = scenario.chaos_scenario(seed)
+    ok, diff = _twice_diff(lambda: ChaosSummary(spec.run()).canonical_json())
     return CheckOutcome(
         check="determinism_chaos",
         scenario=scenario.name,
@@ -282,10 +274,9 @@ def _check_scrape_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
     """
     from dataclasses import replace
 
-    from repro.faults.scenario import run_fault_scenario
     from repro.verify.scrape import run_reference_fault_scenario
 
-    config = replace(scenario.fault_scenario(seed), duration_days=2.0)
+    spec = replace(scenario.fault_scenario(seed), duration_days=2.0)
 
     def render(result) -> str:
         doc = {
@@ -301,12 +292,12 @@ def _check_scrape_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
             "scheduler_stats": dict(result.scheduler_stats),
             "samples": result.store.sample_count(),
             "store_fingerprint": result.store.content_fingerprint(),
-            "fault_report": json.loads(result.fault_report.to_json()),
+            "fault_report": result.fault_report.to_dict(),
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    columnar = render(run_fault_scenario(config))
-    reference = render(run_reference_fault_scenario(config))
+    columnar = render(spec.run())
+    reference = render(run_reference_fault_scenario(spec))
     ok = columnar == reference
     diff = ""
     if not ok:

@@ -2,16 +2,18 @@
 
 A :class:`VerifyScenario` fixes everything a verification check needs to
 be reproducible: the region topology, the seeded placement workload the
-oracle replays, and the fault / chaos scenario shapes whose reports the
-determinism checks hash.  The registry gives the ``repro verify`` CLI a
-small matrix — ``tiny`` is the CI smoke size, ``default`` the local
-deep check, ``dense`` drives the saturation / NoValidHost paths.
+oracle replays, and the fault / chaos :class:`~repro.config.ScenarioSpec`
+whose reports the determinism checks hash.  The registry gives the
+``repro verify`` CLI a small matrix — ``tiny`` is the CI smoke size,
+``default`` the local deep check, ``dense`` drives the saturation /
+NoValidHost paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.config import ScenarioSpec
 from repro.faults.config import FaultConfig
 from repro.infrastructure.capacity import Capacity, OvercommitPolicy
 from repro.infrastructure.topology import (
@@ -84,11 +86,10 @@ class VerifyScenario:
             ),
         )
 
-    def fault_scenario(self, seed: int):
+    def fault_scenario(self, seed: int) -> ScenarioSpec:
         """The seeded fault scenario hashed by the determinism check."""
-        from repro.faults.scenario import ScenarioConfig
-
-        return ScenarioConfig(
+        return ScenarioSpec(
+            topology="lab",
             building_blocks=2,
             nodes_per_bb=3,
             duration_days=self.fault_days,
@@ -107,20 +108,16 @@ class VerifyScenario:
             ),
         )
 
-    def chaos_scenario(self, seed: int):
+    def chaos_scenario(self, seed: int) -> ScenarioSpec:
         """The seeded chaos scenario hashed by the determinism check."""
-        from repro.resilience.chaos import (
-            ChaosConfig,
-            default_chaos_faults,
-            default_chaos_resilience,
-        )
+        from repro.resilience.chaos import CHAOS_SPEC, default_chaos_faults
 
-        return ChaosConfig(
+        return replace(
+            CHAOS_SPEC,
             duration_days=self.chaos_days,
             seed=seed,
             initial_vms=40,
             faults=default_chaos_faults(seed + 17),
-            resilience=default_chaos_resilience(),
         )
 
 

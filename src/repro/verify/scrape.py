@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.faults.scenario import ScenarioConfig, scenario_topology
+from repro.config import ScenarioSpec
 from repro.infrastructure.vm import VM
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.runner import RegionSimulation, SimulationResult
@@ -86,9 +86,8 @@ class ReferenceScrapeSimulation(RegionSimulation):
         return load_fn
 
 
-def run_reference_fault_scenario(config: ScenarioConfig) -> SimulationResult:
-    """:func:`~repro.faults.scenario.run_fault_scenario` on the reference."""
-    sim = ReferenceScrapeSimulation(
-        scenario_topology(config), config.simulation_config()
-    )
+def run_reference_fault_scenario(spec: ScenarioSpec) -> SimulationResult:
+    """:meth:`ScenarioSpec.run <repro.config.ScenarioSpec.run>` on the
+    reference."""
+    sim = ReferenceScrapeSimulation(spec.topology_spec(), spec.simulation_config())
     return sim.run()

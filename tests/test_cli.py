@@ -195,6 +195,18 @@ def test_faults_valid_config_runs(capsys, tmp_path):
     assert report["seed"] == 7
 
 
+def test_faults_stdout_matches_out_file(capsys, tmp_path):
+    flags = [
+        "faults", "--days", "0.05", "--initial-vms", "20",
+        "--arrival-rate", "2",
+    ]
+    assert main(flags) == 0
+    stdout = capsys.readouterr().out
+    out_path = tmp_path / "report.json"
+    assert main(flags + ["--out", str(out_path)]) == 0
+    assert stdout.encode("utf-8") == out_path.read_bytes()
+
+
 # -- repro crash -----------------------------------------------------------------
 
 

@@ -11,12 +11,12 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import ScenarioSpec
 from repro.faults import FaultConfig
-from repro.faults.scenario import ScenarioConfig, run_fault_scenario
 
 
-def _chaos_config(workload_seed: int, fault_seed: int) -> ScenarioConfig:
-    return ScenarioConfig(
+def _chaos_config(workload_seed: int, fault_seed: int) -> ScenarioSpec:
+    return ScenarioSpec(
         building_blocks=2,
         nodes_per_bb=2,
         duration_days=0.25,
@@ -36,31 +36,31 @@ def _chaos_config(workload_seed: int, fault_seed: int) -> ScenarioConfig:
     )
 
 
-def _report_sha256(config: ScenarioConfig) -> str:
-    payload = run_fault_scenario(config).fault_report.to_json()
+def _report_sha256(spec: ScenarioSpec) -> str:
+    payload = spec.run().fault_report.canonical_json()
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("seed", [7, 23])
 def test_same_seed_hashes_identically(seed):
-    config = _chaos_config(seed, seed)
-    assert _report_sha256(config) == _report_sha256(config)
+    spec = _chaos_config(seed, seed)
+    assert _report_sha256(spec) == _report_sha256(spec)
 
 
 def test_different_fault_seed_changes_the_report():
-    base = run_fault_scenario(_chaos_config(7, 1)).fault_report
-    other = run_fault_scenario(_chaos_config(7, 2)).fault_report
-    assert base.to_json() != other.to_json()
+    base = _chaos_config(7, 1).run().fault_report
+    other = _chaos_config(7, 2).run().fault_report
+    assert base.canonical_json() != other.canonical_json()
 
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16))
 def test_property_seeded_replay_is_identical(seed):
     """Any seed pair replays to the same counters AND the same report."""
-    config = _chaos_config(seed % 50, seed)
-    first = run_fault_scenario(config)
-    second = run_fault_scenario(config)
-    assert first.fault_report.to_json() == second.fault_report.to_json()
+    spec = _chaos_config(seed % 50, seed)
+    first = spec.run()
+    second = spec.run()
+    assert first.fault_report.canonical_json() == second.fault_report.canonical_json()
     assert first.created == second.created
     assert first.deleted == second.deleted
     assert first.rejected == second.rejected

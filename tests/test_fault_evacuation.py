@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.config import ScenarioSpec
 from repro.drs.balancer import DrsBalancer
 from repro.faults import FaultConfig, MigrationFaultModel
-from repro.faults.scenario import ScenarioConfig, run_fault_scenario
 from repro.infrastructure.flavors import default_catalog
 from repro.infrastructure.topology import (
     BuildingBlockSpec,
@@ -248,7 +248,7 @@ class TestRebalanceDriverDegradation:
 
 class TestScenarioInvariants:
     def test_placement_stays_consistent_under_chaos(self):
-        config = ScenarioConfig(
+        spec = ScenarioSpec(
             building_blocks=2,
             nodes_per_bb=3,
             duration_days=0.5,
@@ -263,7 +263,7 @@ class TestScenarioInvariants:
                 stale_node_probability=0.05,
             ),
         )
-        result = run_fault_scenario(config)
+        result = spec.run()
         report = result.fault_report
         assert report.host_failures > 0
         assert report.host_failures == len(report.failed_hosts)

@@ -195,16 +195,16 @@ class TestFaultReport:
                 )
             )
         assert report.dead_lettered_vms == ["vm-b", "vm-a"]
-        payload = json.loads(report.to_json())
+        payload = json.loads(report.canonical_json())
         assert [d["vm_id"] for d in payload["dead_lettered"]] == ["vm-a", "vm-b"]
 
-    def test_to_json_is_stable_and_sorted(self):
+    def test_canonical_json_is_stable_and_sorted(self):
         report = FaultReport(seed=3)
         report.host_failures = 2
         report.failed_hosts = ["n2", "n1"]
         report.record_evacuation_success(latency_s=12.345678901, attempts=1)
-        first = report.to_json()
-        second = report.to_json()
+        first = report.canonical_json()
+        second = report.canonical_json()
         assert first == second
         payload = json.loads(first)
         assert payload["failed_hosts"] == ["n1", "n2"]

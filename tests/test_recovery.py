@@ -14,6 +14,7 @@ import json
 import shutil
 import struct
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -495,7 +496,7 @@ def test_run_crash_cycles_full_battery():
     for case in report.corruption:
         assert case.detected_at is not None
 
-    payload = report.to_json()
+    payload = report.canonical_json()
     parsed = json.loads(payload)
     assert parsed["ok"] is True
     # Byte-stable: no filesystem paths or timestamps leak into the report.
@@ -516,30 +517,13 @@ def test_crash_report_render_names_points_and_modes():
 # -- simulation audit journal + service state round-trips ------------------------
 
 
-def _small_chaos_config():
-    from repro.resilience.chaos import ChaosConfig
-
-    return ChaosConfig(duration_days=0.05)
-
-
 def _build_chaos_sim(journal=None):
-    from repro.resilience.chaos import chaos_topology
-    from repro.simulation.runner import RegionSimulation, SimulationConfig
+    from repro.resilience.chaos import CHAOS_SPEC
+    from repro.simulation.runner import RegionSimulation
 
-    config = _small_chaos_config()
+    spec = replace(CHAOS_SPEC, duration_days=0.05)
     return RegionSimulation(
-        chaos_topology(config),
-        SimulationConfig(
-            duration_days=config.duration_days,
-            scrape_interval_s=config.scrape_interval_s,
-            drs_interval_s=config.drs_interval_s,
-            arrival_rate_per_hour=config.arrival_rate_per_hour,
-            initial_vms=config.initial_vms,
-            seed=config.seed,
-            faults=config.faults,
-            resilience=config.resilience,
-        ),
-        journal=journal,
+        spec.topology_spec(), spec.simulation_config(), journal=journal
     )
 
 

@@ -1,11 +1,6 @@
-"""Tests for the experiment report renderer and stats helpers."""
-
-import numpy as np
-import pytest
-from hypothesis import given, strategies as st
+"""Tests for the experiment report renderer."""
 
 from repro.analysis.report import render_experiments_report
-from repro.analysis.stats import coefficient_of_variation, gini, percentile_summary
 
 
 class TestReport:
@@ -22,56 +17,3 @@ class TestReport:
         report = render_experiments_report(small_dataset)
         assert "Measured" in report
         assert str(small_dataset.node_count) in report
-
-
-class TestStats:
-    def test_percentile_summary_fields(self):
-        summary = percentile_summary([1, 2, 3, 4, 5])
-        assert summary["mean"] == 3.0
-        assert summary["p50"] == 3.0
-        assert summary["min"] == 1 and summary["max"] == 5
-
-    def test_percentile_summary_empty_raises(self):
-        with pytest.raises(ValueError):
-            percentile_summary([])
-
-    def test_gini_extremes(self):
-        assert gini([1, 1, 1, 1]) == pytest.approx(0.0)
-        assert gini([0, 0, 0, 100]) == pytest.approx(0.75)
-
-    def test_gini_all_zero(self):
-        assert gini([0, 0]) == 0.0
-
-    def test_gini_negative_rejected(self):
-        with pytest.raises(ValueError):
-            gini([-1, 2])
-
-    def test_cv(self):
-        assert coefficient_of_variation([5, 5, 5]) == 0.0
-        assert coefficient_of_variation([0, 10]) == pytest.approx(1.0)
-
-
-@given(
-    values=st.lists(
-        st.floats(min_value=0, max_value=1e6, allow_nan=False),
-        min_size=1,
-        max_size=100,
-    )
-)
-def test_property_gini_bounds(values):
-    g = gini(values)
-    assert -1e-9 <= g < 1.0
-
-
-@given(
-    values=st.lists(
-        # Away from the subnormal range, where scaling underflows to zero.
-        st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e6)),
-        min_size=2,
-        max_size=100,
-    ),
-    scale=st.floats(min_value=0.1, max_value=100),
-)
-def test_property_gini_scale_invariant(values, scale):
-    scaled = list(np.asarray(values) * scale)
-    assert gini(values) == pytest.approx(gini(scaled), abs=1e-7)

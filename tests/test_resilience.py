@@ -1,6 +1,7 @@
 """Tests for the control-plane resilience layer (repro.resilience)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -602,11 +603,10 @@ class TestFaultConfigDomains:
 
 
 def _run_chaos(days=0.5, seed=7):
-    from repro.resilience.chaos import ChaosConfig, chaos_summary_json, run_chaos_scenario
+    from repro.resilience.chaos import CHAOS_SPEC, ChaosSummary
 
-    config = ChaosConfig(duration_days=days, seed=seed)
-    result = run_chaos_scenario(config)
-    return result, chaos_summary_json(result)
+    result = replace(CHAOS_SPEC, duration_days=days, seed=seed).run()
+    return result, ChaosSummary(result).canonical_json()
 
 
 class TestChaosScenario:

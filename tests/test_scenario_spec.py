@@ -12,10 +12,10 @@ from repro.config import (
     scheduler_config_to_dict,
 )
 from repro.faults.config import FaultConfig
-from repro.faults.scenario import ScenarioConfig, scenario_topology
-from repro.resilience.chaos import ChaosConfig, chaos_topology
+from repro.resilience.chaos import CHAOS_SPEC
 from repro.resilience.config import ResilienceConfig
 from repro.scheduler.config import SchedulerConfig
+from repro.verify.scenarios import SCENARIOS
 
 
 class TestRoundTrip:
@@ -105,18 +105,30 @@ class TestValidation:
 
 
 class TestTopologies:
-    def test_lab_matches_fault_scenario_topology(self):
-        # Byte-compat contract: a spec-run fault scenario must place on
-        # the exact same region the legacy path built.
-        assert (
-            ScenarioSpec(building_blocks=3, nodes_per_bb=4).topology_spec()
-            == scenario_topology(ScenarioConfig())
-        )
+    @staticmethod
+    def _shape(spec: ScenarioSpec):
+        topology = spec.topology_spec()
+        return topology.region_id, [
+            (dc.dc_id, dc.az_id, [(bb.bb_id, bb.node_count)
+                                  for bb in dc.building_blocks])
+            for dc in topology.datacenters
+        ]
 
-    def test_chaos_matches_chaos_topology(self):
-        assert (
-            ScenarioSpec(topology="chaos").topology_spec()
-            == chaos_topology(ChaosConfig())
+    def test_lab_and_chaos_ids_are_pinned(self):
+        # The goldens under tests/goldens/ depend on these literal ids.
+        assert self._shape(ScenarioSpec(topology="lab")) == (
+            "fault-lab",
+            [("dc1", "az1", [("bb0", 4), ("bb1", 4), ("bb2", 4)])],
+        )
+        assert self._shape(
+            ScenarioSpec(topology="lab", building_blocks=2, nodes_per_bb=3)
+        ) == ("fault-lab", [("dc1", "az1", [("bb0", 3), ("bb1", 3)])])
+        assert self._shape(CHAOS_SPEC) == (
+            "chaos-lab",
+            [
+                ("dc1", "az1", [("az1-bb0", 4), ("az1-bb1", 4)]),
+                ("dc2", "az2", [("az2-bb0", 4), ("az2-bb1", 4)]),
+            ],
         )
 
     def test_paper_topology_scales(self):
@@ -135,25 +147,16 @@ class TestTopologies:
         assert 0 < n_small < n_bigger
 
 
-class TestRun:
-    def test_run_matches_legacy_fault_scenario(self):
-        from repro.faults.scenario import run_fault_scenario
-
-        faults = FaultConfig(seed=7, host_failure_rate_per_day=4.0)
-        spec = ScenarioSpec(
-            duration_days=0.1, initial_vms=20, arrival_rate_per_hour=4.0,
-            faults=faults,
-        )
-        legacy = run_fault_scenario(
-            ScenarioConfig(
-                duration_days=0.1, initial_vms=20, arrival_rate_per_hour=4.0,
-                faults=faults,
-            )
-        )
-        assert (
-            spec.run().fault_report.to_json()
-            == legacy.fault_report.to_json()
-        )
+class TestVerifyScenarioSpecs:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_fault_and_chaos_specs_round_trip(self, name):
+        scenario = SCENARIOS[name]
+        for seed in (7, 8):
+            for spec in (
+                scenario.fault_scenario(seed),
+                scenario.chaos_scenario(seed),
+            ):
+                assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
 
 class TestLegacyShapes:
@@ -169,17 +172,8 @@ class TestLegacyShapes:
     )
     def test_sections_only_chaos_file_replaces_only_its_sections(self, data):
         from repro.cli import _scenario_spec_from_config
-        from repro.resilience.chaos import (
-            default_chaos_faults,
-            default_chaos_resilience,
-        )
 
-        base = ScenarioSpec(
-            topology="chaos",
-            initial_vms=80,
-            faults=default_chaos_faults(),
-            resilience=default_chaos_resilience(),
-        )
+        base = CHAOS_SPEC
         expected = base
         if "faults" in data:
             expected = replace(expected, faults=FaultConfig.from_dict(data["faults"]))

@@ -15,8 +15,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.config import ScenarioSpec
 from repro.faults.config import FaultConfig
-from repro.faults.scenario import ScenarioConfig, run_fault_scenario
 from repro.infrastructure.flavors import Flavor
 from repro.infrastructure.vm import VM
 from repro.simulation.runner import SimulationConfig
@@ -145,7 +145,7 @@ class TestEmitParity:
 
 
 class TestEndToEndScrapePath:
-    CONFIG = ScenarioConfig(
+    SPEC = ScenarioSpec(
         building_blocks=2,
         nodes_per_bb=3,
         duration_days=0.25,
@@ -163,8 +163,8 @@ class TestEndToEndScrapePath:
     )
 
     def test_columnar_byte_identical_to_legacy_under_faults(self):
-        fast = run_fault_scenario(self.CONFIG)
-        slow = run_reference_fault_scenario(self.CONFIG)
+        fast = self.SPEC.run()
+        slow = run_reference_fault_scenario(self.SPEC)
         assert {v: vm.node_id for v, vm in fast.vms.items()} == {
             v: vm.node_id for v, vm in slow.vms.items()
         }
@@ -181,12 +181,15 @@ class TestEndToEndScrapePath:
         assert (
             fast.store.content_fingerprint() == slow.store.content_fingerprint()
         )
-        assert fast.fault_report.to_json() == slow.fault_report.to_json()
+        assert (
+            fast.fault_report.canonical_json()
+            == slow.fault_report.canonical_json()
+        )
 
     def test_unknown_scrape_path_rejected(self):
         # The runner has one scrape path; no config field selects another.
         with pytest.raises(TypeError, match="scrape_path"):
-            ScenarioConfig(duration_days=0.01, scrape_path="legacy")
+            ScenarioSpec(duration_days=0.01, scrape_path="legacy")
         with pytest.raises(TypeError, match="scrape_path"):
             SimulationConfig(scrape_path="legacy")
 

@@ -124,38 +124,34 @@ class TestDownsample:
 class TestScrapeInjection:
     def test_total_gap_leaves_store_empty(self):
         """gap_probability=1 loses every scrape cycle entirely."""
+        from repro.config import ScenarioSpec
         from repro.faults import FaultConfig
-        from repro.faults.scenario import ScenarioConfig, run_fault_scenario
 
-        result = run_fault_scenario(
-            ScenarioConfig(
-                building_blocks=1,
-                nodes_per_bb=2,
-                duration_days=0.05,
-                seed=3,
-                arrival_rate_per_hour=0.0,
-                initial_vms=5,
-                faults=FaultConfig(seed=3, scrape_gap_probability=1.0),
-            )
-        )
+        result = ScenarioSpec(
+            building_blocks=1,
+            nodes_per_bb=2,
+            duration_days=0.05,
+            seed=3,
+            arrival_rate_per_hour=0.0,
+            initial_vms=5,
+            faults=FaultConfig(seed=3, scrape_gap_probability=1.0),
+        ).run()
         assert result.store.sample_count() == 0
         assert result.fault_report.scrape_gaps > 0
 
     def test_stale_nodes_ingest_markers_not_values(self):
+        from repro.config import ScenarioSpec
         from repro.faults import FaultConfig
-        from repro.faults.scenario import ScenarioConfig, run_fault_scenario
 
-        result = run_fault_scenario(
-            ScenarioConfig(
-                building_blocks=1,
-                nodes_per_bb=2,
-                duration_days=0.05,
-                seed=3,
-                arrival_rate_per_hour=0.0,
-                initial_vms=5,
-                faults=FaultConfig(seed=3, stale_node_probability=1.0),
-            )
-        )
+        result = ScenarioSpec(
+            building_blocks=1,
+            nodes_per_bb=2,
+            duration_days=0.05,
+            seed=3,
+            arrival_rate_per_hour=0.0,
+            initial_vms=5,
+            faults=FaultConfig(seed=3, stale_node_probability=1.0),
+        ).run()
         assert result.fault_report.stale_node_scrapes > 0
         # Every vROps host sample is a marker; timestamps are still present.
         metric = "vrops_hostsystem_cpu_core_utilization_percentage"

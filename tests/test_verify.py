@@ -238,7 +238,7 @@ def test_run_verify_tiny_passes_and_is_byte_stable():
     )
     report = run_verify(config)
     assert report.ok, report.render()
-    assert report.to_json() == run_verify(config).to_json()
+    assert report.canonical_json() == run_verify(config).canonical_json()
 
 
 def test_run_verify_determinism_checks():
@@ -263,7 +263,7 @@ def test_run_verify_iofaults_check():
     assert outcome.check == "iofaults"
     assert "fault schedules" in outcome.summary
     # Deterministic like every other check: same config, same bytes.
-    assert report.to_json() == run_verify(config).to_json()
+    assert report.canonical_json() == run_verify(config).canonical_json()
 
 
 def test_run_verify_inject_desync_fails():
