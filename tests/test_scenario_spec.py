@@ -114,8 +114,9 @@ class TestTopologies:
             for dc in topology.datacenters
         ]
 
-    def test_lab_and_chaos_ids_are_pinned(self):
-        # The goldens under tests/goldens/ depend on these literal ids.
+    # The goldens under tests/goldens/ depend on these literal ids, the
+    # ones the fault-scenario and chaos runners have always built.
+    def test_lab_matches_fault_scenario_topology(self):
         assert self._shape(ScenarioSpec(topology="lab")) == (
             "fault-lab",
             [("dc1", "az1", [("bb0", 4), ("bb1", 4), ("bb2", 4)])],
@@ -123,6 +124,8 @@ class TestTopologies:
         assert self._shape(
             ScenarioSpec(topology="lab", building_blocks=2, nodes_per_bb=3)
         ) == ("fault-lab", [("dc1", "az1", [("bb0", 3), ("bb1", 3)])])
+
+    def test_chaos_matches_chaos_topology(self):
         assert self._shape(CHAOS_SPEC) == (
             "chaos-lab",
             [
