@@ -63,6 +63,11 @@ class ComputeNode:
     _alloc_cache: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: (vm_epoch, vms-dict ref, len, policy ref, physical ref, Capacity) of
+    #: the last free() result: the allocated() guard plus its two inputs.
+    _free_cache: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __setattr__(self, name: str, value) -> None:
         # Flipping a health flag must invalidate any scheduler-side cache;
@@ -98,8 +103,26 @@ class ComputeNode:
         return total
 
     def free(self, policy: OvercommitPolicy) -> Capacity:
-        """Allocatable-minus-allocated capacity under ``policy``."""
-        return policy.allocatable(self.physical) - self.allocated()
+        """Allocatable-minus-allocated capacity under ``policy`` (cached
+        under the allocated() guard, per policy and physical object)."""
+        vms = self.vms
+        cache = self._free_cache
+        if (
+            cache is not None
+            and cache[0] == self._vm_epoch
+            and cache[1] is vms
+            and cache[2] == len(vms)
+            and cache[3] is policy
+            and cache[4] is self.physical
+        ):
+            return cache[5]
+        free = policy.allocatable(self.physical) - self.allocated()
+        object.__setattr__(
+            self,
+            "_free_cache",
+            (self._vm_epoch, vms, len(vms), policy, self.physical, free),
+        )
+        return free
 
     def can_host(self, vm: VM, policy: OvercommitPolicy) -> bool:
         """True when the VM's request fits this node under ``policy``."""
