@@ -414,12 +414,13 @@ def _accumulate_demand(
         if i1 <= i0:
             # Lifetime falls between samples; derive ratios directly.
             probe = np.linspace(start, min(end, config.window_end), 8)
-            snapshot = record.demand.evaluate(probe)
+            snapshot = record.demand.anchored(start).evaluate(probe)
             record.demand_cpu_avg = float(np.mean(snapshot.cpu_ratio))
             record.demand_mem_avg = float(np.mean(snapshot.memory_ratio))
             continue
         window_grid = grid[i0:i1]
-        snapshot = record.demand.evaluate(window_grid)
+        # Ramps start at the VM's first in-window sample.
+        snapshot = record.demand.anchored(window_grid[0]).evaluate(window_grid)
         record.demand_cpu_avg = float(np.mean(snapshot.cpu_ratio))
         record.demand_mem_avg = float(np.mean(snapshot.memory_ratio))
         _apply_resize_scaling(record, window_grid, snapshot)

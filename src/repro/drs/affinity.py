@@ -40,9 +40,8 @@ class AffinityRules:
         target = bb.nodes.get(target_node_id)
         if target is None:
             return False
-        resident = set(target.vms)
         for group in self.anti_affinity_groups:
-            if vm_id in group and resident & (group - {vm_id}):
+            if vm_id in group and not (group - {vm_id}).isdisjoint(target.vms):
                 return False
         for group in self.affinity_groups:
             if vm_id in group:

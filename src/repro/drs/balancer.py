@@ -6,12 +6,19 @@ least loaded node while (a) the imbalance exceeds the configured threshold,
 (b) each move improves imbalance by a minimum margin (migrations are costly,
 §3.2 "avoiding migration of heavy VMs"), and (c) capacity and affinity rules
 hold on the target.
+
+A pass balances one snapshot of measured load: every VM's load is read
+once, up front, and a migrated VM carries its snapshotted load with it.
+Candidate moves are scored by an O(1) update of the fractions' variance.
+The brute-force ``np.std`` twin it must agree with lives in
+:mod:`repro.verify.drs`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -21,6 +28,10 @@ from repro.infrastructure.vm import VM
 
 #: Maps a VM to its current load in physical-core-equivalents.
 LoadFn = Callable[[VM], float]
+
+#: Scores closer than this are equal, so float noise cannot break a
+#: mathematical tie (moving either VM of a two-VM node to an empty one).
+TIE = 1e-12
 
 
 def _allocated_load(vm: VM) -> float:
@@ -52,6 +63,22 @@ class Migration:
     target_node: str
     load_cores: float
     improvement: float
+
+
+class Spread:
+    """Mean and summed squared deviation of a set of node load fractions."""
+
+    __slots__ = ("n", "mean", "dev2")
+
+    def __init__(self, fractions: Iterable[float]) -> None:
+        values = list(fractions)
+        self.n = len(values)
+        self.mean = sum(values) / self.n if values else 0.0
+        self.dev2 = sum((f - self.mean) ** 2 for f in values)
+
+    @property
+    def std(self) -> float:
+        return math.sqrt(self.dev2 / self.n) if self.n >= 2 else 0.0
 
 
 @dataclass
@@ -97,17 +124,24 @@ class DrsBalancer:
     ) -> list[Migration]:
         """One balancing pass; executes and returns migrations.
 
-        ``fault_model`` (a :class:`repro.faults.MigrationFaultModel`) may
-        abort individual moves mid-precopy: the VM stays on its source and
-        is not retried within this pass.
+        ``load_fn`` is called exactly once per VM on a live node, at the
+        start of the pass.  ``fault_model`` (a
+        :class:`repro.faults.MigrationFaultModel`) may abort individual
+        moves mid-precopy: the VM stays on its source and is not retried
+        within this pass.
         """
+        nodes = [node for node in bb.iter_nodes() if not node.failed]
+        loads = {
+            vm_id: load_fn(vm) for node in nodes for vm_id, vm in node.vms.items()
+        }
+        fractions = {node.node_id: _fraction(node, loads) for node in nodes}
         migrations: list[Migration] = []
         aborted: set[str] = set()
         for _ in range(self.config.max_moves_per_run):
-            current = self.imbalance(bb, load_fn)
-            if current <= self.config.imbalance_threshold:
+            spread = Spread(fractions.values())
+            if spread.std <= self.config.imbalance_threshold:
                 break
-            move = self._best_move(bb, load_fn, current, exclude=aborted)
+            move = self._best_move(bb, fractions, loads, spread, aborted)
             if move is None:
                 break
             vm_id, source, target, load, improvement = move
@@ -119,6 +153,8 @@ class DrsBalancer:
             vm = source.remove_vm(vm_id)
             target.add_vm(vm)
             vm.migrations += 1
+            for node in (source, target):
+                fractions[node.node_id] = _fraction(node, loads)
             migrations.append(
                 Migration(
                     vm_id=vm_id,
@@ -133,61 +169,93 @@ class DrsBalancer:
     def _best_move(
         self,
         bb: BuildingBlock,
-        load_fn: LoadFn,
-        current_imbalance: float,
-        exclude: set[str] = frozenset(),
+        fractions: dict[str, float],
+        loads: dict[str, float],
+        spread: Spread,
+        exclude: set[str],
     ) -> tuple[str, ComputeNode, ComputeNode, float, float] | None:
         """The single move with the largest imbalance improvement.
 
-        Prefers light VMs: a heavy VM (above ``heavy_vm_cores``) is only
-        chosen when no lighter candidate achieves the minimum improvement.
-        VMs in ``exclude`` (e.g. this pass's aborted migrations) and
-        unhealthy targets (failed or draining nodes) are never considered.
+        Sources the most loaded node; tries its VMs in residence order
+        against healthy targets, least loaded first; a later candidate wins
+        only if strictly better by more than :data:`TIE`.  Prefers light VMs: a heavy VM (above
+        ``heavy_vm_cores``) is only chosen when no lighter candidate
+        achieves the minimum improvement.  VMs in ``exclude`` (this pass's
+        aborted migrations) are never considered.
+
+        When every node has the source's core count, moving a given load
+        scores worse the more loaded the target, so only each VM's first
+        feasible target is scored.
         """
-        fractions = self.node_load_fractions(bb, load_fn)
-        if len(fractions) < 2:
-            return None
         ordered = sorted(fractions.items(), key=lambda kv: kv[1], reverse=True)
         source = bb.nodes[ordered[0][0]]
-        # Candidate targets: every other node, least loaded first.
-        targets = [bb.nodes[node_id] for node_id, _ in reversed(ordered[1:])]
-
+        source_frac = ordered[0][1]
+        source_cores = source.physical.vcpus
+        targets = [
+            (target, frac, target.physical.vcpus, target.free(bb.overcommit))
+            for target, frac in (
+                (bb.nodes[node_id], frac) for node_id, frac in reversed(ordered[1:])
+            )
+            if target.healthy
+        ]
+        first_only = all(cores == source_cores for _, _, cores, _ in targets)
+        current = spread.std
+        min_improvement = self.config.min_improvement
         best: tuple[str, ComputeNode, ComputeNode, float, float] | None = None
         best_light: tuple[str, ComputeNode, ComputeNode, float, float] | None = None
-        for vm in source.vms.values():
-            if vm.vm_id in exclude:
+        for vm_id, vm in source.vms.items():
+            if vm_id in exclude:
                 continue
-            load = load_fn(vm)
-            for target in targets:
-                if target.node_id == source.node_id or not target.healthy:
+            load = loads[vm_id]
+            requested = vm.requested()
+            for target, target_frac, target_cores, free in targets:
+                if not requested.fits_within(free):
                     continue
-                if not vm.requested().fits_within(target.free(bb.overcommit)):
+                if not self.rules.allows_move(bb, vm_id, target.node_id):
                     continue
-                if not self.rules.allows_move(bb, vm.vm_id, target.node_id):
-                    continue
-                improvement = current_imbalance - self._imbalance_after(
-                    fractions, source, target, load
+                improvement = current - self._imbalance_after(
+                    spread,
+                    source_frac,
+                    target_frac,
+                    load / source_cores,
+                    load / target_cores,
                 )
-                if improvement < self.config.min_improvement:
-                    continue
-                candidate = (vm.vm_id, source, target, load, improvement)
-                if best is None or improvement > best[4]:
-                    best = candidate
-                if load <= self.config.heavy_vm_cores and (
-                    best_light is None or improvement > best_light[4]
-                ):
-                    best_light = candidate
+                if improvement >= min_improvement:
+                    candidate = (vm_id, source, target, load, improvement)
+                    if best is None or improvement > best[4] + TIE:
+                        best = candidate
+                    if load <= self.config.heavy_vm_cores and (
+                        best_light is None or improvement > best_light[4] + TIE
+                    ):
+                        best_light = candidate
+                if first_only:
+                    break
         return best_light if best_light is not None else best
 
     @staticmethod
     def _imbalance_after(
-        fractions: dict[str, float],
-        source: ComputeNode,
-        target: ComputeNode,
-        load: float,
+        spread: Spread,
+        source_frac: float,
+        target_frac: float,
+        source_delta: float,
+        target_delta: float,
     ) -> float:
-        """Imbalance if ``load`` cores moved from source to target."""
-        updated = dict(fractions)
-        updated[source.node_id] -= load / source.physical.vcpus
-        updated[target.node_id] += load / target.physical.vcpus
-        return float(np.std(list(updated.values())))
+        """Imbalance after the source's fraction drops by ``source_delta``
+        and the target's rises by ``target_delta``: the squared deviations
+        of the two changed nodes swap, then the mean's shift comes off."""
+        m = spread.mean
+        dev2 = (
+            spread.dev2
+            + (source_frac - source_delta - m) ** 2
+            - (source_frac - m) ** 2
+            + (target_frac + target_delta - m) ** 2
+            - (target_frac - m) ** 2
+            - (target_delta - source_delta) ** 2 / spread.n
+        )
+        return math.sqrt(max(dev2, 0.0) / spread.n)
+
+
+def _fraction(node: ComputeNode, loads: dict[str, float]) -> float:
+    """A node's snapshotted load as a fraction of its physical cores."""
+    load = sum(loads[vm_id] for vm_id in node.vms)
+    return load / node.physical.vcpus if node.physical.vcpus > 0 else 0.0

@@ -33,13 +33,11 @@ def recommend_moves(
 ) -> list[Recommendation]:
     """Prioritised migration recommendations for one building block.
 
-    Works on a deep copy, so the input cluster is never modified.
+    Works on a deep copy, so the input cluster is never modified;
+    ``load_fn`` sees the copy's VMs, once each.
     """
     balancer = DrsBalancer(config=config or DrsConfig())
-    snapshot = copy.deepcopy(bb)
-    # Loads are keyed by vm_id so the copy can reuse the caller's load model.
-    loads = {vm.vm_id: load_fn(vm) for vm in bb.vms()}
-    migrations = balancer.run(snapshot, load_fn=lambda vm: loads.get(vm.vm_id, 0.0))
+    migrations = balancer.run(copy.deepcopy(bb), load_fn=load_fn)
     if not migrations:
         return []
     max_improvement = max(m.improvement for m in migrations)

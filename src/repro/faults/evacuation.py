@@ -144,7 +144,7 @@ class EvacuationManager:
                     dead_lettered_at=engine.now,
                 )
             )
-            self.sim.demands.pop(payload["vm_id"], None)
+            self.sim.demands.discard(payload["vm_id"])
             return
         self.report.evacuation_retries += 1
         backoff = self.config.evac_backoff_base_s * (

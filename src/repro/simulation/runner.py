@@ -71,10 +71,10 @@ from repro.simulation.hostsched import HostCpuModel
 from repro.telemetry.exporters import NodeUsage, NovaExporter, VropsExporter
 from repro.telemetry.store import MetricStore
 from repro.telemetry.timeseries import STALE
-from repro.workloads.demand import DemandModel, VMDemand
+from repro.workloads.demand import DemandModel
 from repro.workloads.lifetime import sample_lifetime
 from repro.workloads.profiles import profile_for_flavor
-from repro.workloads.waveform import CompiledDemand, compile_demand
+from repro.workloads.waveform import CompiledDemand
 
 
 @dataclass(frozen=True)
@@ -275,13 +275,9 @@ class RegionSimulation:
             self.engine.on(PARTITION_END, self._handle_partition_end)
 
         self.vms: dict[str, VM] = {}
-        self.demands: dict[str, VMDemand] = {}
-        #: Per-VM compiled waveform evaluators (scrape and DRS load).
-        #: Entries are validated by demand-object identity on every use and
-        #: recompiled on mismatch, so create/resize (which swap the
-        #: VMDemand) can never be served a stale waveform table; delete
-        #: drops the entry.
-        self._compiled: dict[str, CompiledDemand] = {}
+        #: Every live VM's demand model and its parameter row; the scrape
+        #: and DRS read one evaluation of all rows per timestamp.
+        self.demands = CompiledDemand()
         self._stale_usage = NodeUsage(
             cpu_used_fraction=STALE,
             memory_used_fraction=STALE,
@@ -462,7 +458,9 @@ class RegionSimulation:
         vm.transition(VMState.ACTIVE)
         node.add_vm(vm)
         self.vms[vm_id] = vm
-        self.demands[vm_id] = self.demand_model.demand_for(flavor, profile)
+        self.demands.set(
+            vm_id, self.demand_model.demand_for(flavor, profile).anchored(vm.created_at)
+        )
         self.created += 1
         lifetime = sample_lifetime(profile.name, self.rng)
         engine.schedule(engine.now + lifetime, VM_DELETE, vm_id=vm_id)
@@ -477,8 +475,7 @@ class RegionSimulation:
         vm.transition(VMState.DELETED)
         vm.deleted_at = engine.now
         self.placement.release(vm_id)
-        self.demands.pop(vm_id, None)
-        self._compiled.pop(vm_id, None)
+        self.demands.discard(vm_id)
         self.deleted += 1
 
     def _handle_resize(self, engine: SimulationEngine, event) -> None:
@@ -535,10 +532,10 @@ class RegionSimulation:
         vm.flavor = new_flavor
         node.add_vm(vm)
         vm.transition(VMState.ACTIVE)
-        self.demands[vm.vm_id] = self.demand_model.demand_for(
+        demand = self.demand_model.demand_for(
             new_flavor, profile_for_flavor(new_flavor, self.rng)
         )
-        self._compiled.pop(vm.vm_id, None)
+        self.demands.set(vm.vm_id, demand.anchored(vm.created_at))
         self.resized += 1
 
     def _schedule_admission_retry(
@@ -676,19 +673,22 @@ class RegionSimulation:
     def _handle_scrape(self, engine: SimulationEngine, event) -> None:
         """One scrape cycle: every reachable node's usage, then the region.
 
-        Demand is evaluated as scalars through each VM's compiled waveform
-        and values go straight into the store's column buffers through
-        interned series handles, with no per-sample objects.  The
-        per-sample reference this must match byte for byte lives in
-        :mod:`repro.verify.scrape`.
+        Every VM's demand comes from one evaluation of all rows at ``now``;
+        ``np.bincount`` sums it per node, adding rows in ``node.vms``
+        order as the per-sample reference in :mod:`repro.verify.scrape`
+        does, so the sums match it bit for bit.  Values go straight into
+        the store's column buffers through interned series handles.
         """
         if self.telemetry_faults is not None and self.telemetry_faults.scrape_missed():
             return  # whole cycle lost: an honest hole in every series
         now = engine.now
         store = self.store
         vrops = self.vrops
-        demands = self.demands
-        compiled = self._compiled
+        row_of = self.demands.rows
+        plan: list[tuple[ComputeNode, int | None]] = []
+        rows: list[int] = []
+        owners: list[int] = []
+        scraped = 0
         for node in self._node_index.values():
             if node.failed:
                 continue  # dead host, dead exporter: no samples at all
@@ -701,26 +701,27 @@ class RegionSimulation:
             ):
                 # Exporter answered with stale data: same timestamps,
                 # every value a staleness marker.
+                plan.append((node, None))
+                continue
+            for vm_id in node.vms:
+                row = row_of.get(vm_id)
+                if row is not None:
+                    rows.append(row)
+                    owners.append(scraped)
+            plan.append((node, scraped))
+            scraped += 1
+        owner = np.asarray(owners, dtype=np.intp)
+        cpu, mem, tx, rx, disk = (
+            np.bincount(owner, weights=column[rows], minlength=scraped)
+            .astype(float, copy=False)  # an empty bincount is integer
+            .tolist()
+            for column in self.demands.at(now)
+        )
+        for node, i in plan:
+            if i is None:
                 vrops.emit_node(store, node, self._stale_usage, now)
                 continue
-            cpu_demand = 0.0
-            mem_mb = 0.0
-            tx = rx = 0.0
-            disk = 0.0
-            for vm in node.vms.values():
-                demand = demands.get(vm.vm_id)
-                if demand is None:
-                    continue
-                cd = compiled.get(vm.vm_id)
-                if cd is None or cd.demand is not demand:
-                    cd = compiled[vm.vm_id] = compile_demand(demand)
-                cpu_c, mem_c, tx_c, rx_c, disk_c = cd.evaluate(now)
-                cpu_demand += cpu_c
-                mem_mb += mem_c
-                tx += tx_c
-                rx += rx_c
-                disk += disk_c
-            usage = self._node_usage(node, cpu_demand, mem_mb, tx, rx, disk)
+            usage = self._node_usage(node, cpu[i], mem[i], tx[i], rx[i], disk[i])
             vrops.emit_node(store, node, usage, now)
         self.nova_exporter.emit_region(store, self.region, now)
 
@@ -756,18 +757,16 @@ class RegionSimulation:
             self.drs_migrations += len(migrations)
 
     def _drs_load_fn(self, now: float) -> Callable[[VM], float]:
-        """DRS's per-VM load at ``now``: CPU-core demand, else allocation."""
-        demands = self.demands
-        compiled = self._compiled
+        """DRS's per-VM load at ``now``: CPU-core demand, else allocation.
+
+        Reads the same evaluation of all rows as the scrape at ``now``.
+        """
+        row_of = self.demands.rows
+        cpu = self.demands.at(now).cpu_cores.tolist()
 
         def load_fn(vm: VM) -> float:
-            demand = demands.get(vm.vm_id)
-            if demand is None:
-                return float(vm.flavor.vcpus)
-            cd = compiled.get(vm.vm_id)
-            if cd is None or cd.demand is not demand:
-                cd = compiled[vm.vm_id] = compile_demand(demand)
-            return cd.evaluate(now)[0]
+            row = row_of.get(vm.vm_id)
+            return float(vm.flavor.vcpus) if row is None else cpu[row]
 
         return load_fn
 
@@ -782,10 +781,11 @@ class RegionSimulation:
         return self.catalog.get(names[int(idx)])
 
     def _pick_node(self, bb: BuildingBlock, flavor) -> ComputeNode | None:
+        requested = flavor.requested()
         fitting = [
             n
             for n in bb.iter_nodes()
-            if n.healthy and flavor.requested().fits_within(n.free(bb.overcommit))
+            if n.healthy and requested.fits_within(n.free(bb.overcommit))
         ]
         if not fitting:
             return None

@@ -26,6 +26,11 @@ Checks:
     :mod:`repro.verify.scrape` on a seeded two-day fault scenario:
     placements, counters, scheduler stats, the fault report, and the
     telemetry store's content fingerprint must be byte-identical.
+``drs_path``
+    Production DRS vs the brute-force ``np.std`` reference in
+    :mod:`repro.verify.drs`, pass by pass on shared load snapshots of
+    one simulated day of the scenario's region: identical migration
+    decisions.
 ``sweep``
     Order-independence of the scenario-sweep engine: a micro-grid run
     sequentially, with one worker, and with two workers must merge to
@@ -59,6 +64,7 @@ ALL_CHECKS = (
     "determinism_faults",
     "determinism_chaos",
     "scrape_path",
+    "drs_path",
     "sweep",
     "goldens",
     "iofaults",
@@ -325,6 +331,29 @@ def _check_scrape_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
     )
 
 
+def _check_drs_path(scenario: VerifyScenario, seed: int) -> CheckOutcome:
+    """Production DRS must decide as the brute-force reference does."""
+    from repro.verify.drs import run_drs_path
+
+    result = run_drs_path(scenario, seed)
+    ok = not result.mismatches
+    return CheckOutcome(
+        check="drs_path",
+        scenario=scenario.name,
+        seed=seed,
+        ok=ok,
+        summary=(
+            f"{result.passes} DRS passes, {result.migrations} migrations: "
+            + (
+                "identical to the np.std reference"
+                if ok
+                else f"{len(result.mismatches)} passes DIVERGE from the reference"
+            )
+        ),
+        mismatches=result.mismatches,
+    )
+
+
 def _check_sweep(scenario: VerifyScenario, seed: int) -> CheckOutcome:
     """The sweep engine's order-independence contract, held by comparison.
 
@@ -470,6 +499,8 @@ def run_verify(config: VerifyConfig, progress=None) -> VerifyReport:
                 outcomes.append(_check_determinism_chaos(scenario, seed))
             elif check == "scrape_path":
                 outcomes.append(_check_scrape_path(scenario, seed))
+            elif check == "drs_path":
+                outcomes.append(_check_drs_path(scenario, seed))
             elif check == "sweep":
                 outcomes.append(_check_sweep(scenario, seed))
             elif check == "goldens":

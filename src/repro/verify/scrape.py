@@ -1,24 +1,28 @@
 """The per-sample scrape reference the simulation runner must match.
 
 :class:`~repro.simulation.runner.RegionSimulation` scrapes through the
-columnar fast path: each VM's demand goes through its compiled waveform
-(:class:`~repro.workloads.waveform.CompiledDemand`) as scalars, and
-values are appended through interned series handles
-(``VropsExporter.emit_node`` / ``NovaExporter.emit_region``).
+columnar fast path: one evaluation of every VM's demand parameter row
+per timestamp (:class:`~repro.workloads.waveform.CompiledDemand`),
+summed per node with ``np.bincount``, and values appended through
+interned series handles (``VropsExporter.emit_node`` /
+``NovaExporter.emit_region``).  DRS reads the same evaluation.
 
 :class:`ReferenceScrapeSimulation` is the same simulation with the two
 handlers that read demand swapped for the straightforward versions:
 
-* demand is evaluated through ``VMDemand.evaluate`` on a one-element
-  time array, both in the scrape and in the DRS ``load_fn``;
+* each VM's demand is evaluated on its own through ``VMDemand.evaluate``
+  on a one-element time array and summed in Python, both in the scrape
+  and in the DRS ``load_fn``;
 * samples are built as :class:`~repro.telemetry.exporters.Sample`
   objects by ``scrape_node`` / ``scrape_region`` and written with
   ``MetricStore.ingest``.
 
-Everything else (scheduling, faults, fault-draw order, skip logic) is
-inherited, so any difference in placements, counters, the fault report
-or the store's content fingerprint is a defect in the fast path.  The
-``scrape_path`` check of ``repro verify`` runs both.
+Demand is a pure function of (VM, t), so evaluating it per VM, in any
+order and as often as asked, must give the columns' bits.  Everything
+else (scheduling, faults, fault-draw order, skip logic) is inherited, so
+any difference in placements, counters, the fault report or the store's
+content fingerprint is a defect in the fast path.  The ``scrape_path``
+check of ``repro verify`` runs both.
 """
 
 from __future__ import annotations

@@ -1,18 +1,20 @@
 """Per-VM demand synthesis: bind a profile to a flavor and emit demand series.
 
-A :class:`VMDemand` holds the sampled average utilisation ratios and pattern
-closures for one VM; :meth:`VMDemand.evaluate` turns a timestamp grid into
-absolute resource demand (vCPU-seconds-per-second, MiB, kbps, GiB).
+A :class:`VMDemand` holds the sampled average utilisation ratios and
+patterns for one VM; :meth:`VMDemand.evaluate` turns a timestamp grid into
+absolute resource demand (vCPU-seconds-per-second, MiB, kbps, GiB).  The
+patterns are pure functions of time, so a VM's demand at ``t`` does not
+depend on when, how often or in which order anything evaluated it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.infrastructure.flavors import Flavor
-from repro.workloads.patterns import DemandPattern
+from repro.workloads.patterns import DemandPattern, anchored
 from repro.workloads.profiles import WorkloadProfile, profile_for_flavor
 
 
@@ -65,6 +67,15 @@ class VMDemand:
             memory_ratio=mem_ratio,
         )
 
+    def anchored(self, origin: float) -> VMDemand:
+        """This demand with its ramps measured from ``origin`` (epoch s);
+        ``self`` when it has no ramp."""
+        cpu = anchored(self.cpu_pattern, origin)
+        mem = anchored(self.mem_pattern, origin)
+        if cpu is self.cpu_pattern and mem is self.mem_pattern:
+            return self
+        return replace(self, cpu_pattern=cpu, mem_pattern=mem)
+
 
 class DemandModel:
     """Factory producing :class:`VMDemand` instances for flavors."""
@@ -75,20 +86,25 @@ class DemandModel:
     def demand_for(
         self, flavor: Flavor, profile: WorkloadProfile | None = None
     ) -> VMDemand:
-        """Sample a demand generator for one VM of ``flavor``."""
+        """Sample a demand generator for one VM of ``flavor``.
+
+        Draws one 64-bit noise key for the VM; its noise and bursts are
+        hashed from that key, so they consume no further draws.
+        """
         rng = self._rng
         if profile is None:
             profile = profile_for_flavor(flavor, rng)
         cpu_mean = profile.sample_cpu_mean(rng)
         mem_mean = profile.sample_mem_mean(rng)
+        key = int(rng.integers(0, 2**64, dtype=np.uint64))
         lo, hi = profile.disk_fill_fraction
         return VMDemand(
             flavor=flavor,
             profile=profile,
             cpu_mean=cpu_mean,
             mem_mean=mem_mean,
-            cpu_pattern=profile.cpu_pattern(cpu_mean, rng),
-            mem_pattern=profile.mem_pattern(mem_mean, rng),
+            cpu_pattern=profile.cpu_pattern(cpu_mean, rng, key),
+            mem_pattern=profile.mem_pattern(mem_mean, rng, key),
             network_activity=float(rng.uniform(0.2, 1.0)),
             disk_used_fraction=float(rng.uniform(lo, hi)),
         )

@@ -1,24 +1,31 @@
 """Temporal demand patterns.
 
-A :class:`DemandPattern` maps an array of epoch-second timestamps to a
+A demand pattern maps an array of epoch-second timestamps to a
 utilisation fraction in [0, 1].  Patterns compose multiplicatively or
 additively to build realistic shapes: business-hours diurnal cycles with a
 weekday/weekend effect (visible in the paper's Fig 8 ready-time series),
 CI/CD burstiness, slow ramps (the paper observes nodes with consistently
 increasing CPU demand, §5.1), and spike trains.
 
-Every factory attaches a structured ``basis`` attribute to the closure it
-returns — a tuple naming the pattern kind and its parameters.  The
-simulation's scalar fast path (:mod:`repro.workloads.waveform`) compiles
-these descriptions into per-VM evaluators and waveform tables instead of
-calling the vectorised closures once per VM per tick; closures without a
-``basis`` (hand-written lambdas in tests) simply fall back to the closure
-call.  The metadata is descriptive only: evaluation behaviour and RNG
-consumption of the closures themselves are unchanged.
+Every pattern is a pure function of time.  The random ones (:func:`bursty`,
+:func:`with_noise`) take a 64-bit key instead of a generator and derive
+each value from a splitmix64 hash of (key, stream, t), so evaluating a
+pattern never advances an RNG: the same ``t`` always gives the same value,
+whoever asks and however often.  Ramps carry an explicit ``origin``.
+
+Patterns are small frozen dataclasses whose arithmetic lives in the
+module-level kernels below.  Kernel parameters broadcast, so
+:mod:`repro.workloads.waveform` evaluates a whole population's parameter
+columns with the same ufunc sequence as one pattern on one timestamp, bit
+for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import statistics
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,20 +33,232 @@ import numpy as np
 SECONDS_PER_DAY = 86_400
 SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
 
+#: One burst slot: the paper's 15-minute telemetry resolution.  A bursty
+#: pattern's ``correlation`` is its run length in slots.
+BURST_SLOT_S = 900.0
+
+#: Hash streams: one key feeds independent CPU noise, memory noise and
+#: burst draws.
+CPU_NOISE, MEM_NOISE, BURSTS = 1, 2, 3
+
 #: A demand pattern: timestamps (epoch seconds) -> utilisation fraction.
 DemandPattern = Callable[[np.ndarray], np.ndarray]
+
+_GOLDEN, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U64 = (1 << 64) - 1
+_GOLDEN_U, _MIX1_U, _MIX2_U = (np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2))
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_TABLE_SHIFT = np.uint64(48)  # 2**16 table entries
+_UNIFORM_SHIFT = np.uint64(11)  # 53 mantissa bits
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 on a uint64 array (array arithmetic wraps silently)."""
+    z = x + _GOLDEN_U
+    z = (z ^ (z >> _S30)) * _MIX1_U
+    z = (z ^ (z >> _S27)) * _MIX2_U
+    return z ^ (z >> _S31)
+
+
+def _mix_int(x: int) -> int:
+    """:func:`_mix` on one Python int, modulo 2**64."""
+    z = (x + _GOLDEN) & _U64
+    z = ((z ^ (z >> 30)) * _MIX1) & _U64
+    z = ((z ^ (z >> 27)) * _MIX2) & _U64
+    return z ^ (z >> 31)
+
+
+def stream_key(key: int, stream: int) -> int:
+    """The hash seed of ``key``'s ``stream``: a 64-bit int."""
+    return _mix_int(key ^ _mix_int(stream))
+
+
+def normal(skey, ts: np.ndarray) -> np.ndarray:
+    """Standard normals hashed from stream seed(s) ``skey`` and ``ts``'s bits."""
+    return _normal_table()[_mix(skey ^ _float_bits(ts)) >> _TABLE_SHIFT]
+
+
+@functools.cache
+def _normal_table() -> np.ndarray:
+    """2**16 standard-normal quantiles at cell midpoints: an exact,
+    seed-free discretisation, gathered by the top 16 bits of a hash."""
+    half = 1 << 15
+    dist = statistics.NormalDist()
+    upper = np.asarray(
+        [dist.inv_cdf(0.5 + (i + 0.5) / (2 * half)) for i in range(half)]
+    )
+    return np.concatenate([-upper[::-1], upper])
+
+
+def _float_bits(ts: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(ts, dtype=np.float64).view(np.uint64)
+
+
+# -- kernels (parameters broadcast) --------------------------------------------
+
+
+def ramp_kernel(ts, start_level, end_level, duration, origin):
+    progress = np.clip((ts - origin) / duration, 0.0, 1.0)
+    return start_level + (end_level - start_level) * progress
+
+
+def diurnal_kernel(ts, base, peak, peak_hour, width_hours):
+    hour = (ts % SECONDS_PER_DAY) / 3600.0
+    # Wrap-around distance to the peak hour.
+    dist = np.minimum(np.abs(hour - peak_hour), 24.0 - np.abs(hour - peak_hour))
+    bump = np.exp(-0.5 * (dist / width_hours) ** 2)
+    return base + (peak - base) * bump
+
+
+def weekly_kernel(ts, weekday_scale, weekend_scale):
+    day_index = (np.floor(ts / SECONDS_PER_DAY).astype(int) + 3) % 7  # 0 = Monday
+    return np.where(day_index >= 5, weekend_scale, weekday_scale)
+
+
+def bursty_kernel(ts, base, burst_level, burst_probability, run_s, skey):
+    slots = np.floor(ts / run_s)
+    u = (_mix(skey ^ _float_bits(slots)) >> _UNIFORM_SHIFT) * (2.0**-53)
+    return np.where(u < burst_probability, burst_level, base)
+
+
+def spike_kernel(ts, base, spike_level, period, spike_width, phase):
+    return np.where(((ts + phase) % period) < spike_width, spike_level, base)
+
+
+def noise_kernel(values, z, sigma):
+    """``values`` plus ``sigma`` times standard normals ``z``, clipped."""
+    return np.clip(values + sigma * z, 0.0, 1.0)
+
+
+# -- patterns ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Constant:
+    level: float
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        return np.full(len(ts), self.level)
+
+
+@dataclass(frozen=True)
+class Diurnal:
+    base: float
+    peak: float
+    peak_hour: float
+    width_hours: float
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        return diurnal_kernel(
+            np.asarray(ts, dtype=float),
+            self.base, self.peak, self.peak_hour, self.width_hours,
+        )
+
+
+@dataclass(frozen=True)
+class Weekly:
+    weekday_scale: float
+    weekend_scale: float
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        return weekly_kernel(
+            np.asarray(ts, dtype=float), self.weekday_scale, self.weekend_scale
+        )
+
+
+@dataclass(frozen=True)
+class Ramp:
+    start_level: float
+    end_level: float
+    duration: float
+    origin: float
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        return ramp_kernel(
+            np.asarray(ts, dtype=float),
+            self.start_level, self.end_level, self.duration, self.origin,
+        )
+
+
+@dataclass(frozen=True)
+class Bursty:
+    base: float
+    burst_level: float
+    burst_probability: float
+    key: int
+    correlation: int
+
+    @property
+    def run_s(self) -> float:
+        return self.correlation * BURST_SLOT_S
+
+    @functools.cached_property
+    def skey(self) -> np.ndarray:
+        return np.asarray([stream_key(self.key, BURSTS)], dtype=np.uint64)
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        return bursty_kernel(
+            np.asarray(ts, dtype=float), self.base, self.burst_level,
+            self.burst_probability, self.run_s, self.skey,
+        )
+
+
+@dataclass(frozen=True)
+class SpikeTrain:
+    base: float
+    spike_level: float
+    period: float
+    spike_width: float
+    phase: float
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        return spike_kernel(
+            np.asarray(ts, dtype=float), self.base, self.spike_level,
+            self.period, self.spike_width, self.phase,
+        )
+
+
+@dataclass(frozen=True)
+class Composite:
+    parts: tuple
+    mode: str
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        value = self.parts[0](ts)
+        for part in self.parts[1:]:
+            if self.mode == "max":
+                value = np.maximum(value, part(ts))
+            elif self.mode == "sum":
+                value = value + part(ts)
+            else:
+                value = value * part(ts)
+        return np.clip(value, 0.0, 1.0) if self.mode == "sum" else value
+
+
+@dataclass(frozen=True)
+class Noisy:
+    inner: DemandPattern
+    sigma: float
+    key: int
+    stream: int
+
+    @functools.cached_property
+    def skey(self) -> np.ndarray:
+        return np.asarray([stream_key(self.key, self.stream)], dtype=np.uint64)
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        return noise_kernel(self.inner(ts), normal(self.skey, ts), self.sigma)
+
+
+# -- factories -----------------------------------------------------------------
 
 
 def constant(level: float) -> DemandPattern:
     """A flat utilisation level."""
     if not 0.0 <= level <= 1.5:
         raise ValueError("level must be within [0, 1.5]")
-
-    def pattern(ts: np.ndarray) -> np.ndarray:
-        return np.full(len(ts), level)
-
-    pattern.basis = ("constant", level)
-    return pattern
+    return Constant(level)
 
 
 def diurnal(
@@ -55,16 +274,7 @@ def diurnal(
     """
     if peak < base:
         raise ValueError("peak must be >= base")
-
-    def pattern(ts: np.ndarray) -> np.ndarray:
-        hour = (ts % SECONDS_PER_DAY) / 3600.0
-        # Wrap-around distance to the peak hour.
-        dist = np.minimum(np.abs(hour - peak_hour), 24.0 - np.abs(hour - peak_hour))
-        bump = np.exp(-0.5 * (dist / width_hours) ** 2)
-        return base + (peak - base) * bump
-
-    pattern.basis = ("diurnal", base, peak, peak_hour, width_hours)
-    return pattern
+    return Diurnal(base, peak, peak_hour, width_hours)
 
 
 def weekly(weekday_scale: float = 1.0, weekend_scale: float = 0.6) -> DemandPattern:
@@ -72,58 +282,38 @@ def weekly(weekday_scale: float = 1.0, weekend_scale: float = 0.6) -> DemandPatt
 
     Epoch day 0 (1970-01-01) was a Thursday; weekday indices follow that.
     """
-
-    def pattern(ts: np.ndarray) -> np.ndarray:
-        day_index = (np.floor(ts / SECONDS_PER_DAY).astype(int) + 3) % 7  # 0 = Monday
-        return np.where(day_index >= 5, weekend_scale, weekday_scale)
-
-    pattern.basis = ("weekly", weekday_scale, weekend_scale)
-    return pattern
+    return Weekly(weekday_scale, weekend_scale)
 
 
-def ramp(start_level: float, end_level: float, duration: float) -> DemandPattern:
+def ramp(
+    start_level: float, end_level: float, duration: float, origin: float = 0.0
+) -> DemandPattern:
     """Linear drift from ``start_level`` to ``end_level`` over ``duration`` s.
 
-    Demand holds at ``end_level`` after the ramp.  Timestamps are interpreted
-    relative to the first timestamp passed in.
+    Progress is measured from ``origin`` (epoch seconds): demand holds at
+    ``start_level`` before it and at ``end_level`` after the ramp.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-
-    def pattern(ts: np.ndarray) -> np.ndarray:
-        if len(ts) == 0:
-            return np.asarray([])
-        progress = np.clip((ts - ts[0]) / duration, 0.0, 1.0)
-        return start_level + (end_level - start_level) * progress
-
-    pattern.basis = ("ramp", start_level, end_level, duration)
-    return pattern
+    return Ramp(start_level, end_level, duration, origin)
 
 
 def bursty(
     base: float,
     burst_level: float,
     burst_probability: float,
-    rng: np.random.Generator,
+    key: int,
     correlation: int = 4,
 ) -> DemandPattern:
     """Random bursts (CI/CD-like): runs of elevated demand.
 
-    ``correlation`` stretches each Bernoulli draw over that many consecutive
-    samples so bursts last multiple sampling intervals.
+    Time is cut into runs of ``correlation`` 15-minute slots; each run is
+    a burst with ``burst_probability``, decided by a hash of ``key`` and
+    the run's index, so bursts last several sampling intervals.
     """
     if not 0.0 <= burst_probability <= 1.0:
         raise ValueError("burst_probability must be within [0, 1]")
-
-    def pattern(ts: np.ndarray) -> np.ndarray:
-        n_draws = int(np.ceil(len(ts) / max(1, correlation)))
-        draws = rng.random(n_draws) < burst_probability
-        mask = np.repeat(draws, correlation)[: len(ts)]
-        return np.where(mask, burst_level, base)
-
-    pattern.basis = ("bursty", base, burst_level, burst_probability, correlation)
-    pattern.rng = rng
-    return pattern
+    return Bursty(base, burst_level, burst_probability, key, max(1, correlation))
 
 
 def spike_train(
@@ -136,13 +326,7 @@ def spike_train(
     """Periodic spikes (batch jobs, backups) of ``spike_width`` seconds."""
     if period <= 0 or spike_width <= 0:
         raise ValueError("period and spike_width must be positive")
-
-    def pattern(ts: np.ndarray) -> np.ndarray:
-        in_spike = ((ts + phase) % period) < spike_width
-        return np.where(in_spike, spike_level, base)
-
-    pattern.basis = ("spike", base, spike_level, period, spike_width, phase)
-    return pattern
+    return SpikeTrain(base, spike_level, period, spike_width, phase)
 
 
 def composite(
@@ -154,36 +338,29 @@ def composite(
         raise ValueError("need at least one pattern")
     if mode not in ("max", "sum", "product"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    def pattern(ts: np.ndarray) -> np.ndarray:
-        stacked = np.stack([p(ts) for p in patterns])
-        if mode == "max":
-            return stacked.max(axis=0)
-        if mode == "sum":
-            return np.clip(stacked.sum(axis=0), 0.0, 1.0)
-        return stacked.prod(axis=0)
-
-    pattern.basis = (
-        "composite",
-        mode,
-        tuple(getattr(p, "basis", None) for p in patterns),
-    )
-    pattern.children = tuple(patterns)
-    return pattern
+    return Composite(tuple(patterns), mode)
 
 
 def with_noise(
-    pattern: DemandPattern, sigma: float, rng: np.random.Generator
+    pattern: DemandPattern, sigma: float, key: int, stream: int = CPU_NOISE
 ) -> DemandPattern:
-    """Add clipped Gaussian noise to any pattern."""
+    """Add clipped Gaussian noise, hashed from (key, stream, t), to a pattern."""
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
+    return Noisy(pattern, sigma, key, stream)
 
-    def noisy(ts: np.ndarray) -> np.ndarray:
-        return np.clip(pattern(ts) + rng.normal(0.0, sigma, len(ts)), 0.0, 1.0)
 
-    noisy.inner = pattern
-    noisy.sigma = sigma
-    noisy.rng = rng
-    noisy.basis = ("noise", sigma, getattr(pattern, "basis", None))
-    return noisy
+def anchored(pattern: DemandPattern, origin: float) -> DemandPattern:
+    """``pattern`` with every ramp inside it measured from ``origin``
+    (``pattern`` itself when it holds no ramp)."""
+    if isinstance(pattern, Ramp):
+        return dataclasses.replace(pattern, origin=origin)
+    if isinstance(pattern, Noisy):
+        inner = anchored(pattern.inner, origin)
+        if inner is not pattern.inner:
+            return dataclasses.replace(pattern, inner=inner)
+    if isinstance(pattern, Composite):
+        parts = tuple(anchored(p, origin) for p in pattern.parts)
+        if any(a is not b for a, b in zip(parts, pattern.parts)):
+            return dataclasses.replace(pattern, parts=parts)
+    return pattern

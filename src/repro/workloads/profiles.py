@@ -64,9 +64,13 @@ class WorkloadProfile:
         return float(rng.beta(a, b))
 
     def cpu_pattern(
-        self, mean_level: float, rng: np.random.Generator
+        self, mean_level: float, rng: np.random.Generator, key: int
     ) -> pat.DemandPattern:
-        """Temporal CPU pattern oscillating around ``mean_level``."""
+        """Temporal CPU pattern oscillating around ``mean_level``.
+
+        ``rng`` draws the shape's parameters; ``key`` seeds its noise and
+        bursts, which are pure functions of time.
+        """
         mean_level = float(np.clip(mean_level, 0.01, 0.99))
         if self.cpu_pattern_kind == "constant":
             base = pat.constant(mean_level)
@@ -91,7 +95,7 @@ class WorkloadProfile:
                 base=mean_level * 0.3,
                 burst_level=burst,
                 burst_probability=float(np.clip(prob, 0.02, 0.9)),
-                rng=rng,
+                key=key,
                 correlation=int(rng.integers(2, 12)),
             )
         elif self.cpu_pattern_kind == "ramp":
@@ -114,10 +118,10 @@ class WorkloadProfile:
             )
         else:
             raise ValueError(f"unknown pattern kind: {self.cpu_pattern_kind}")
-        return pat.with_noise(base, sigma=0.03, rng=rng)
+        return pat.with_noise(base, sigma=0.03, key=key, stream=pat.CPU_NOISE)
 
     def mem_pattern(
-        self, mean_level: float, rng: np.random.Generator
+        self, mean_level: float, rng: np.random.Generator, key: int
     ) -> pat.DemandPattern:
         """Temporal memory pattern: mostly flat, optional slow growth."""
         mean_level = float(np.clip(mean_level, 0.02, 0.99))
@@ -128,7 +132,7 @@ class WorkloadProfile:
             base = pat.ramp(start, end, duration=25 * pat.SECONDS_PER_DAY)
         else:
             base = pat.constant(mean_level)
-        return pat.with_noise(base, sigma=0.01, rng=rng)
+        return pat.with_noise(base, sigma=0.01, key=key, stream=pat.MEM_NOISE)
 
 
 #: The application classes named in §5.5.

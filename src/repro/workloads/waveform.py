@@ -1,270 +1,232 @@
-"""Scalar fast-path evaluation of per-VM demand waveforms.
+"""Per-VM demand as parameter columns, evaluated for every VM at once.
 
-The simulation's scrape loop evaluates every VM's demand at a single
-timestamp, once per 900 s tick.  The vectorised pattern closures in
-:mod:`repro.workloads.patterns` are built for timestamp *grids*; calling
-them with one-element arrays allocates half a dozen temporaries plus a
-:class:`~repro.workloads.demand.DemandSnapshot` per VM per tick, which is
-what made the scrape tick the slowest part of a multi-day simulation.
+The simulation needs every live VM's demand at one timestamp per scrape
+tick, and DRS reads the same values.  :class:`CompiledDemand` keeps one
+row of pattern parameters per VM -- written on create or resize, freed on
+delete, never rebuilt per tick -- and :meth:`CompiledDemand.evaluate`
+computes all rows at ``t`` in one numpy pass through the kernels of
+:mod:`repro.workloads.patterns`.  A pattern evaluated on a one-element
+grid runs the same ufuncs on the same operands, so each row equals
+``VMDemand.evaluate(np.asarray([t]))`` bit for bit; demand is a pure
+function of (VM, t), so the order and number of evaluations never matter.
 
-:func:`compile_demand` turns one :class:`~repro.workloads.demand.VMDemand`
-into a :class:`CompiledDemand` whose ``evaluate(t)`` returns plain floats
-and is bit-identical to ``demand.evaluate(np.asarray([t]))`` — including
-RNG stream consumption, so the runner and the per-sample reference in
-:mod:`repro.verify.scrape` stay replayable against each other.  The compiler reads the ``basis`` metadata the pattern
-factories attach:
-
-- phase-free shapes (``constant``; ``ramp``, which always reports its
-  start level at single-timestamp evaluation because progress is measured
-  from ``ts[0]``) collapse to a precomputed constant;
-- shapes built from exact IEEE ops (``weekly``, ``spike``: fmod, floor,
-  comparisons, multiply/add) are re-derived as scalar expressions —
-  Python floats and float64 share the same operations bit for bit;
-- ``diurnal`` depends on ``np.exp``, which does **not** round identically
-  to ``math.exp`` on every host, so it is served from a per-pattern
-  waveform table keyed by day phase (``t % 86400``, exact for positive
-  operands); misses call the original numpy closure and memoise the
-  result.  The closure reads nothing but the day phase, so equal phases
-  give equal bits for *any* timestamp;
-- ``bursty`` draws one uniform per evaluation (``ceil(1/correlation)`` is
-  1), replicated as a scalar draw — scalar and size-1 Generator draws
-  advance the stream identically;
-- ``noise`` adds a scalar Gaussian and clips with branches, which matches
-  ``np.clip`` bitwise (including the ``-0.0`` corner: np.clip keeps it);
-- anything without usable metadata (hand-written closures in tests) falls
-  back to calling the closure with a one-element array, which is always
-  correct, just not fast.
-
-Invalidation is by identity: the simulation keeps one ``CompiledDemand``
-per VM and recompiles whenever the registered :class:`VMDemand` object is
-replaced (create, resize) and drops the entry on delete, so a stale table
-can never serve a new waveform.
+The columns hold the shapes :class:`~repro.workloads.profiles.WorkloadProfile`
+builds, each wrapped in noise: for CPU a constant or ramp, a diurnal x
+weekly product, bursts, or the max of a constant and a spike train; for
+memory a constant or ramp.  Every row carries the parameters of all CPU
+shapes (neutral values for the shapes it does not use); the pass computes
+each shape for every row and picks a row's own by its kind code.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.workloads import patterns as pat
 from repro.workloads.demand import VMDemand
-from repro.workloads.patterns import SECONDS_PER_DAY
 
-_DAY = float(SECONDS_PER_DAY)
+#: CPU shape codes, in ``np.choose`` order.
+LEVEL, DIURNAL, BURSTY, SPIKY = range(4)
 
-#: Hard cap on one waveform table.  Simulation timestamps land on the
-#: scrape/DRS grids, so a day-periodic pattern sees at most
-#: 86400/gcd(intervals) distinct phases (96 at the default 900 s); the cap
-#: only guards pathological callers that sweep arbitrary timestamps.
-TABLE_CAP = 1024
-
-ScalarPattern = Callable[[float], float]
-
-
-def _fallback(pattern) -> ScalarPattern:
-    """Call the vectorised closure with a one-element grid (always exact)."""
-
-    def fn(t: float) -> float:
-        return float(pattern(np.asarray([t], dtype=float))[0])
-
-    return fn
-
-
-def _memoized_by_day_phase(pattern) -> ScalarPattern:
-    """Waveform table for day-periodic transcendental patterns.
-
-    The value must come from the original numpy closure: ``np.exp`` and
-    ``math.exp`` differ in the last ulp on some hosts, and the fast path
-    promises byte-identical telemetry.  ``%`` is exact for positive
-    operands, so the phase key loses no information.
-    """
-    table: dict[float, float] = {}
-
-    def fn(t: float) -> float:
-        phase = t % _DAY
-        v = table.get(phase)
-        if v is None:
-            if len(table) >= TABLE_CAP:
-                table.clear()
-            v = table[phase] = float(pattern(np.asarray([t], dtype=float))[0])
-        return v
-
-    return fn
+#: Float parameter columns, and the value of rows that do not use one.
+_NEUTRAL = {
+    # CPU constant or ramp (a constant is a ramp with equal ends).
+    "lvl_start": 0.0, "lvl_end": 0.0, "lvl_duration": 1.0, "lvl_origin": 0.0,
+    # CPU diurnal x weekly.
+    "d_base": 0.0, "d_peak": 0.0, "d_hour": 0.0, "d_width": 1.0,
+    "w_weekday": 1.0, "w_weekend": 1.0,
+    # CPU bursts.
+    "b_base": 0.0, "b_burst": 0.0, "b_prob": 0.0, "b_run": 1.0,
+    # CPU max(constant, spike train).
+    "s_floor": 0.0, "s_base": 0.0, "s_level": 0.0, "s_period": 1.0,
+    "s_width": 1.0, "s_phase": 0.0,
+    "cpu_sigma": 0.0,
+    # Memory constant or ramp.
+    "m_start": 0.0, "m_end": 0.0, "m_duration": 1.0, "m_origin": 0.0,
+    "mem_sigma": 0.0,
+    # Absolute scale.
+    "vcpus": 0.0, "ram_mb": 0.0, "net_rate": 0.0, "disk_gb": 0.0,
+}
+_FLOATS = tuple(_NEUTRAL)
+#: Hash seeds: CPU and memory noise (hashed together), bursts.
+_KEYS = ("cpu_noise", "mem_noise", "bursts")
 
 
-def compile_pattern(pattern) -> ScalarPattern:
-    """A scalar evaluator bit-identical to ``pattern(np.asarray([t]))[0]``."""
-    basis = getattr(pattern, "basis", None)
-    if basis is None:
-        return _fallback(pattern)
-    kind = basis[0]
+class DemandColumns(NamedTuple):
+    """Every row's absolute demand at one timestamp (free rows included)."""
 
-    if kind == "constant":
-        level = float(basis[1])
-        return lambda t: level
+    cpu_cores: np.ndarray
+    memory_mb: np.ndarray
+    network_tx_kbps: np.ndarray
+    network_rx_kbps: np.ndarray
+    disk_gb: np.ndarray
 
-    if kind == "ramp":
-        # Single-timestamp grids measure progress from ts[0], i.e. zero:
-        # the closure always answers its start level.
-        start = float(basis[1])
-        return lambda t: start
 
-    if kind == "weekly":
-        weekday_scale = float(basis[1])
-        weekend_scale = float(basis[2])
+def _level(p, prefix: str) -> dict[str, float] | None:
+    """A constant or ramp as ramp parameters."""
+    if isinstance(p, pat.Constant):
+        return {f"{prefix}start": p.level, f"{prefix}end": p.level}
+    if isinstance(p, pat.Ramp):
+        return {
+            f"{prefix}start": p.start_level,
+            f"{prefix}end": p.end_level,
+            f"{prefix}duration": p.duration,
+            f"{prefix}origin": p.origin,
+        }
+    return None
 
-        def weekly_fn(t: float) -> float:
-            day_index = (int(math.floor(t / _DAY)) + 3) % 7  # 0 = Monday
-            return weekend_scale if day_index >= 5 else weekday_scale
 
-        return weekly_fn
+def _cpu_row(p) -> tuple[int, dict[str, float], int]:
+    """(shape code, parameters, burst hash seed) of one noise-free CPU shape."""
+    level = _level(p, "lvl_")
+    if level is not None:
+        return LEVEL, level, 0
+    if isinstance(p, pat.Bursty):
+        return BURSTY, {
+            "b_base": p.base, "b_burst": p.burst_level,
+            "b_prob": p.burst_probability, "b_run": p.run_s,
+        }, pat.stream_key(p.key, pat.BURSTS)
+    if isinstance(p, pat.Composite) and len(p.parts) == 2:
+        a, b = p.parts
+        if p.mode == "product" and isinstance(a, pat.Diurnal) and isinstance(b, pat.Weekly):
+            return DIURNAL, {
+                "d_base": a.base, "d_peak": a.peak, "d_hour": a.peak_hour,
+                "d_width": a.width_hours, "w_weekday": b.weekday_scale,
+                "w_weekend": b.weekend_scale,
+            }, 0
+        if p.mode == "max" and isinstance(a, pat.Constant) and isinstance(b, pat.SpikeTrain):
+            return SPIKY, {
+                "s_floor": a.level, "s_base": b.base, "s_level": b.spike_level,
+                "s_period": b.period, "s_width": b.spike_width, "s_phase": b.phase,
+            }, 0
+    raise TypeError(f"no demand column layout for CPU pattern {p!r}")
 
-    if kind == "spike":
-        base, spike_level, period, spike_width, phase = (
-            float(x) for x in basis[1:]
-        )
 
-        def spike_fn(t: float) -> float:
-            return spike_level if ((t + phase) % period) < spike_width else base
-
-        return spike_fn
-
-    if kind == "diurnal":
-        return _memoized_by_day_phase(pattern)
-
-    if kind == "bursty":
-        rng = getattr(pattern, "rng", None)
-        if rng is None:
-            return _fallback(pattern)
-        base = float(basis[1])
-        burst_level = float(basis[2])
-        burst_probability = float(basis[3])
-
-        def bursty_fn(t: float) -> float:
-            # One Bernoulli per evaluation: ceil(1/correlation) == 1, and
-            # a scalar uniform advances the stream exactly like random(1).
-            return burst_level if rng.random() < burst_probability else base
-
-        return bursty_fn
-
-    if kind == "composite":
-        children = getattr(pattern, "children", None)
-        if children is None:
-            return _fallback(pattern)
-        mode = basis[1]
-        fns = tuple(compile_pattern(p) for p in children)
-
-        if mode == "max":
-
-            def max_fn(t: float) -> float:
-                v = fns[0](t)
-                for f in fns[1:]:
-                    w = f(t)
-                    if w > v:
-                        v = w
-                return v
-
-            return max_fn
-
-        if mode == "sum":
-
-            def sum_fn(t: float) -> float:
-                v = fns[0](t)
-                for f in fns[1:]:
-                    v = v + f(t)
-                if v < 0.0:
-                    return 0.0
-                if v > 1.0:
-                    return 1.0
-                return v
-
-            return sum_fn
-
-        def prod_fn(t: float) -> float:
-            v = fns[0](t)
-            for f in fns[1:]:
-                v = v * f(t)
-            return v
-
-        return prod_fn
-
-    if kind == "noise":
-        inner = getattr(pattern, "inner", None)
-        rng = getattr(pattern, "rng", None)
-        if inner is None or rng is None:
-            return _fallback(pattern)
-        sigma = pattern.sigma
-        inner_fn = compile_pattern(inner)
-
-        def noise_fn(t: float) -> float:
-            v = inner_fn(t) + rng.normal(0.0, sigma)
-            if v < 0.0:
-                return 0.0
-            if v > 1.0:
-                return 1.0
-            return v
-
-        return noise_fn
-
-    return _fallback(pattern)
+def _noisy(p, what: str) -> pat.Noisy:
+    if not isinstance(p, pat.Noisy):
+        raise TypeError(f"no demand column layout for un-noised {what} pattern {p!r}")
+    return p
 
 
 class CompiledDemand:
-    """Scalar twin of one VM's :class:`VMDemand`.
+    """The demand parameter columns of one simulation's VMs.
 
-    ``evaluate(t)`` returns ``(cpu_cores, memory_mb, network_tx_kbps,
-    network_rx_kbps, disk_gb)`` as plain floats, bit-identical to the
-    corresponding columns of ``demand.evaluate(np.asarray([t]))`` and
-    consuming the shared RNG stream in the same order (cpu base draws,
-    cpu noise, mem base draws, mem noise).
+    Also the registry of their :class:`VMDemand` objects: :meth:`get`
+    returns a VM's demand, :meth:`set` writes (or rewrites) its row,
+    :meth:`discard` frees it for reuse.
     """
 
-    __slots__ = (
-        "demand",
-        "_cpu_fn",
-        "_mem_fn",
-        "_vcpus",
-        "_ram_mb",
-        "_net_rate",
-        "_disk_gb",
-    )
+    def __init__(self, capacity: int = 64) -> None:
+        self._demands: dict[str, VMDemand] = {}
+        #: vm_id -> row index.
+        self.rows: dict[str, int] = {}
+        self._free: list[int] = []
+        self._version = 0
+        self._cached: tuple[float, int, DemandColumns] | None = None
+        self._capacity = 0
+        self._grow(capacity)
 
-    def __init__(self, demand: VMDemand) -> None:
-        self.demand = demand
-        self._cpu_fn = compile_pattern(demand.cpu_pattern)
-        self._mem_fn = compile_pattern(demand.mem_pattern)
-        self._vcpus = demand.flavor.vcpus
-        self._ram_mb = demand.flavor.ram_mb
-        # Same association order as VMDemand.evaluate's product.
-        self._net_rate = (
-            demand.network_activity
+    def _grow(self, capacity: int) -> None:
+        floats = np.empty((len(_FLOATS), capacity))
+        floats[:] = np.asarray([_NEUTRAL[name] for name in _FLOATS])[:, None]
+        keys = np.zeros((len(_KEYS), capacity), dtype=np.uint64)
+        kind = np.zeros(capacity, dtype=np.intp)
+        old = self._capacity
+        if old:
+            floats[:, :old] = self._floats
+            keys[:, :old] = self._keys
+            kind[:old] = self._kind
+        self._floats, self._keys, self._kind = floats, keys, kind
+        self._free.extend(range(capacity - 1, old - 1, -1))
+        self._capacity = capacity
+        self._c = SimpleNamespace(
+            **{name: floats[i] for i, name in enumerate(_FLOATS)},
+            **{name: keys[i] for i, name in enumerate(_KEYS)},
+        )
+
+    def __len__(self) -> int:
+        return len(self._demands)
+
+    def get(self, vm_id: str) -> VMDemand | None:
+        return self._demands.get(vm_id)
+
+    def set(self, vm_id: str, demand: VMDemand) -> None:
+        """Register ``demand`` for ``vm_id`` and write its row."""
+        cpu = _noisy(demand.cpu_pattern, "CPU")
+        mem = _noisy(demand.mem_pattern, "memory")
+        kind, cpu_params, burst_skey = _cpu_row(cpu.inner)
+        mem_params = _level(mem.inner, "m_")
+        if mem_params is None:
+            raise TypeError(f"no demand column layout for memory pattern {mem!r}")
+        row = self.rows.get(vm_id)
+        if row is None:
+            if not self._free:
+                self._grow(2 * self._capacity)
+            row = self.rows[vm_id] = self._free.pop()
+        values = dict(_NEUTRAL)
+        values.update(cpu_params)
+        values.update(mem_params)
+        flavor = demand.flavor
+        values.update(
+            cpu_sigma=cpu.sigma,
+            mem_sigma=mem.sigma,
+            vcpus=flavor.vcpus,
+            ram_mb=flavor.ram_mb,
+            # Same association order as VMDemand.evaluate's product.
+            net_rate=demand.network_activity
             * demand.profile.network_kbps_per_vcpu
-            * demand.flavor.vcpus
+            * flavor.vcpus,
+            disk_gb=demand.disk_used_fraction * flavor.disk_gb,
         )
-        self._disk_gb = demand.disk_used_fraction * demand.flavor.disk_gb
+        self._floats[:, row] = [values[name] for name in _FLOATS]
+        self._keys[:, row] = [
+            pat.stream_key(cpu.key, cpu.stream),
+            pat.stream_key(mem.key, mem.stream),
+            burst_skey,
+        ]
+        self._kind[row] = kind
+        self._demands[vm_id] = demand
+        self._version += 1
 
-    def evaluate(self, t: float) -> tuple[float, float, float, float, float]:
-        cpu = self._cpu_fn(t)
-        if cpu < 0.0:
-            cpu = 0.0
-        elif cpu > 1.0:
-            cpu = 1.0
-        mem = self._mem_fn(t)
-        if mem < 0.0:
-            mem = 0.0
-        elif mem > 1.0:
-            mem = 1.0
-        net = self._net_rate * cpu
-        return (
-            cpu * self._vcpus,
-            mem * self._ram_mb,
-            net,
-            net * 0.8,
-            self._disk_gb,
+    def discard(self, vm_id: str) -> None:
+        """Forget ``vm_id``'s demand; its row is reused by a later :meth:`set`."""
+        if self._demands.pop(vm_id, None) is not None:
+            self._free.append(self.rows.pop(vm_id))
+
+    def evaluate(self, t: float) -> DemandColumns:
+        """Every row's demand at ``t``, in one pass."""
+        ts = np.asarray([t], dtype=float)
+        c = self._c
+        cpu = np.choose(
+            self._kind,
+            (
+                pat.ramp_kernel(ts, c.lvl_start, c.lvl_end, c.lvl_duration, c.lvl_origin),
+                pat.diurnal_kernel(ts, c.d_base, c.d_peak, c.d_hour, c.d_width)
+                * pat.weekly_kernel(ts, c.w_weekday, c.w_weekend),
+                pat.bursty_kernel(ts, c.b_base, c.b_burst, c.b_prob, c.b_run, c.bursts),
+                np.maximum(
+                    c.s_floor,
+                    pat.spike_kernel(
+                        ts, c.s_base, c.s_level, c.s_period, c.s_width, c.s_phase
+                    ),
+                ),
+            ),
+        )
+        z = pat.normal(self._keys[:2], ts)
+        cpu = np.clip(pat.noise_kernel(cpu, z[0], c.cpu_sigma), 0.0, 1.0)
+        mem = pat.ramp_kernel(ts, c.m_start, c.m_end, c.m_duration, c.m_origin)
+        mem = np.clip(pat.noise_kernel(mem, z[1], c.mem_sigma), 0.0, 1.0)
+        net = c.net_rate * cpu
+        return DemandColumns(
+            cpu * c.vcpus, mem * c.ram_mb, net, net * 0.8, c.disk_gb.copy()
         )
 
-
-def compile_demand(demand: VMDemand) -> CompiledDemand:
-    """Compile one VM's demand model for scalar single-timestamp evaluation."""
-    return CompiledDemand(demand)
+    def at(self, t: float) -> DemandColumns:
+        """:meth:`evaluate` at ``t``, reused until ``t`` or a row changes."""
+        cached = self._cached
+        if cached is None or cached[0] != t or cached[1] != self._version:
+            cached = self._cached = (t, self._version, self.evaluate(t))
+        return cached[2]

@@ -63,10 +63,15 @@ class TestRamp:
         values = pattern(np.asarray([0.0, 50.0, 100.0, 200.0]))
         assert values == pytest.approx([0.0, 0.5, 1.0, 1.0])
 
-    def test_relative_to_first_timestamp(self):
-        pattern = pat.ramp(0.0, 1.0, duration=100.0)
-        values = pattern(np.asarray([1000.0, 1100.0]))
-        assert values == pytest.approx([0.0, 1.0])
+    def test_relative_to_origin(self):
+        pattern = pat.ramp(0.0, 1.0, duration=100.0, origin=1000.0)
+        values = pattern(np.asarray([900.0, 1000.0, 1050.0, 1100.0]))
+        assert values == pytest.approx([0.0, 0.0, 0.5, 1.0])
+
+    def test_single_timestamps_progress(self):
+        pattern = pat.ramp(0.2, 0.8, duration=100.0, origin=1000.0)
+        singles = [float(pattern(np.asarray([t]))[0]) for t in (1000.0, 1050.0, 1100.0)]
+        assert singles == pytest.approx([0.2, 0.5, 0.8])
 
     def test_decreasing_ramp(self):
         pattern = pat.ramp(0.8, 0.2, duration=10.0)
@@ -78,19 +83,31 @@ class TestRamp:
 
 
 class TestBursty:
-    def test_levels_are_base_or_burst(self, week_grid, rng):
-        pattern = pat.bursty(0.1, 0.9, burst_probability=0.3, rng=rng)
+    def test_levels_are_base_or_burst(self, week_grid):
+        pattern = pat.bursty(0.1, 0.9, burst_probability=0.3, key=11)
         values = pattern(week_grid)
         assert set(np.unique(values)) <= {0.1, 0.9}
 
-    def test_burst_share_tracks_probability(self, week_grid, rng):
-        pattern = pat.bursty(0.0, 1.0, burst_probability=0.25, rng=rng, correlation=1)
+    def test_burst_share_tracks_probability(self, week_grid):
+        pattern = pat.bursty(0.0, 1.0, burst_probability=0.25, key=12, correlation=1)
         share = float(np.mean(pattern(week_grid)))
         assert 0.2 < share < 0.3
 
-    def test_invalid_probability(self, rng):
+    def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            pat.bursty(0.1, 0.9, burst_probability=1.5, rng=rng)
+            pat.bursty(0.1, 0.9, burst_probability=1.5, key=13)
+
+    def test_bursts_last_correlation_slots(self, week_grid):
+        pattern = pat.bursty(0.0, 1.0, burst_probability=0.5, key=14, correlation=4)
+        values = pattern(week_grid)  # 900 s grid: one sample per slot
+        runs = values.reshape(-1, 4)
+        assert np.all(runs == runs[:, :1])
+        assert 0 < values.mean() < 1
+
+    def test_same_t_same_value(self, week_grid):
+        pattern = pat.bursty(0.1, 0.9, burst_probability=0.3, key=15)
+        once = pattern(week_grid)
+        assert np.array_equal(pattern(week_grid[::-1])[::-1], once)
 
 
 class TestSpikeTrain:
@@ -126,12 +143,33 @@ class TestComposite:
 
 
 class TestNoise:
-    def test_noise_clipped_to_unit_interval(self, week_grid, rng):
-        noisy = pat.with_noise(pat.constant(0.02), sigma=0.5, rng=rng)
+    def test_noise_clipped_to_unit_interval(self, week_grid):
+        noisy = pat.with_noise(pat.constant(0.02), sigma=0.5, key=21)
         values = noisy(week_grid)
         assert values.min() >= 0.0
         assert values.max() <= 1.0
 
-    def test_negative_sigma_raises(self, rng):
+    def test_negative_sigma_raises(self):
         with pytest.raises(ValueError):
-            pat.with_noise(pat.constant(0.5), sigma=-1, rng=rng)
+            pat.with_noise(pat.constant(0.5), sigma=-1, key=22)
+
+    def test_noise_is_a_pure_function_of_t(self, week_grid):
+        noisy = pat.with_noise(pat.constant(0.5), sigma=0.1, key=23)
+        once = noisy(week_grid)
+        assert np.array_equal(noisy(week_grid), once)
+        singles = np.asarray([noisy(np.asarray([t]))[0] for t in week_grid[:50]])
+        assert np.array_equal(singles, once[:50])
+
+    def test_noise_streams_and_keys_independent(self, week_grid):
+        def values(key, stream):
+            return pat.with_noise(pat.constant(0.5), 0.1, key, stream)(week_grid)
+
+        base = values(1, pat.CPU_NOISE)
+        for other in (values(2, pat.CPU_NOISE), values(1, pat.MEM_NOISE)):
+            assert abs(np.corrcoef(base, other)[0, 1]) < 0.05
+
+    def test_noise_is_standard_normal_scaled(self, week_grid):
+        noisy = pat.with_noise(pat.constant(0.5), sigma=0.05, key=24)
+        residual = noisy(week_grid) - 0.5
+        assert abs(residual.mean()) < 0.005
+        assert residual.std() == pytest.approx(0.05, rel=0.1)

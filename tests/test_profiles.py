@@ -52,8 +52,8 @@ class TestPatterns:
         grid = np.arange(0, 14 * 86_400, 1800.0)
         target = 0.3
         means = []
-        for _ in range(8):
-            pattern = profile.cpu_pattern(target, big_rng)
+        for key in range(8):
+            pattern = profile.cpu_pattern(target, big_rng, key)
             means.append(float(np.mean(np.clip(pattern(grid), 0, 1))))
         assert 0.1 < float(np.mean(means)) < 0.55
 
@@ -61,8 +61,8 @@ class TestPatterns:
     def test_patterns_stay_in_unit_interval(self, name, big_rng):
         profile = PROFILES[name]
         grid = np.arange(0, 7 * 86_400, 900.0)
-        cpu = profile.cpu_pattern(0.5, big_rng)(grid)
-        mem = profile.mem_pattern(0.5, big_rng)(grid)
+        cpu = profile.cpu_pattern(0.5, big_rng, 1)(grid)
+        mem = profile.mem_pattern(0.5, big_rng, 2)(grid)
         for values in (cpu, mem):
             assert values.min() >= 0.0
             assert values.max() <= 1.0
@@ -71,7 +71,8 @@ class TestPatterns:
         profile = PROFILES["k8s_infra"]  # mem_stability = 0.9
         grid = np.arange(0, 30 * 86_400, 3600.0)
         stds = [
-            float(np.std(profile.mem_pattern(0.6, big_rng)(grid))) for _ in range(10)
+            float(np.std(profile.mem_pattern(0.6, big_rng, key)(grid)))
+            for key in range(10)
         ]
         assert float(np.median(stds)) < 0.05
 

@@ -1,40 +1,31 @@
-"""Exactness of the compiled scalar waveform path (repro.workloads.waveform).
+"""Exactness and purity of the demand parameter columns (repro.workloads.waveform).
 
-The columnar scrape fast-path replaces per-VM ``VMDemand.evaluate`` (numpy
-array in, Sample list out) with :class:`CompiledDemand` scalar closures.
-The contract is *bitwise* equality, not approximate: the simulation's
-telemetry fingerprint must not move by a single byte when the fast path is
-enabled.  These properties pin that contract directly, including across
-recompilation (resize) boundaries.
-
-Both paths consume the shared pattern RNG in the same draw order, so the
-comparison builds two demand objects from identically seeded generators and
-walks them through the same tick sequence in lockstep.
+The simulation evaluates every VM's demand at one timestamp in one numpy
+pass over :class:`CompiledDemand`'s parameter rows; the per-sample
+reference evaluates each VM on its own through ``VMDemand.evaluate``.
+The contract is *bitwise* equality, not approximate, and because demand
+is a pure function of (VM, t), the order and number of evaluations must
+not matter.
 """
-
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.infrastructure.flavors import default_catalog
+from repro.simulation.runner import RegionSimulation, SimulationConfig
 from repro.workloads import patterns
 from repro.workloads.demand import DemandModel
 from repro.workloads.profiles import PROFILES
-from repro.workloads.waveform import (
-    TABLE_CAP,
-    CompiledDemand,
-    compile_demand,
-    compile_pattern,
-)
+from repro.workloads.waveform import CompiledDemand
+from tests.conftest import build_tiny_region_spec
 
 _FLAVOR_NAMES = ("g_c2_m8", "g_c8_m32", "g_c16_m128")
 _PROFILE_NAMES = tuple(PROFILES)
 
 
-def _legacy_tuple(demand, t):
-    """One tick through the original numpy path, as the scalar 5-tuple."""
+def _reference_tuple(demand, t):
+    """One tick through ``VMDemand.evaluate``, as the five column values."""
     snap = demand.evaluate(np.asarray([t], dtype=float))
     return (
         float(snap.cpu_cores[0]),
@@ -45,15 +36,44 @@ def _legacy_tuple(demand, t):
     )
 
 
-def _demand_pair(seed, flavor_name, profile_name):
-    """Two identical demand objects on independent, identically-seeded RNGs."""
+def _row(columns, compiled, vm_id):
+    row = compiled.rows[vm_id]
+    return tuple(float(column[row]) for column in columns)
+
+
+def _demand(seed, flavor_name, profile_name, origin=0.0):
+    model = DemandModel(np.random.default_rng(seed))
     flavor = default_catalog().get(flavor_name)
-    profile = PROFILES[profile_name]
-    out = []
-    for _ in range(2):
-        model = DemandModel(np.random.default_rng(seed))
-        out.append(model.demand_for(flavor, profile))
-    return out
+    return model.demand_for(flavor, PROFILES[profile_name]).anchored(origin)
+
+
+def _population(n, seed=5):
+    model = DemandModel(np.random.default_rng(seed))
+    catalog = default_catalog()
+    return {
+        f"vm-{i}": model.demand_for(
+            catalog.get(_FLAVOR_NAMES[i % len(_FLAVOR_NAMES)]),
+            PROFILES[_PROFILE_NAMES[i % len(_PROFILE_NAMES)]],
+        ).anchored(600.0 * i)
+        for i in range(n)
+    }
+
+
+def test_repeated_and_shuffled_evaluation_is_identical():
+    """Same t, same values: however often and in whatever order VMs ask."""
+    demands = _population(40)
+    t = 3 * 86_400.0 + 900.0
+    first = {vm_id: _reference_tuple(d, t) for vm_id, d in demands.items()}
+    order = list(demands)
+    np.random.default_rng(1).shuffle(order)
+    for vm_id in order + order[::-1]:
+        assert _reference_tuple(demands[vm_id], t) == first[vm_id]
+    compiled = CompiledDemand()
+    for vm_id in order:
+        compiled.set(vm_id, demands[vm_id])
+    for columns in (compiled.evaluate(t), compiled.evaluate(t)):
+        for vm_id, expected in first.items():
+            assert _row(columns, compiled, vm_id) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -68,92 +88,130 @@ def _demand_pair(seed, flavor_name, profile_name):
 def test_compiled_demand_bitwise_equal_at_every_tick(
     seed, flavor_name, profile_name, start, interval, ticks
 ):
-    reference, subject = _demand_pair(seed, flavor_name, profile_name)
-    compiled = compile_demand(subject)
+    demand = _demand(seed, flavor_name, profile_name, origin=start)
+    compiled = CompiledDemand()
+    compiled.set("vm", demand)
     for i in range(ticks):
         t = start + i * interval
-        expected = _legacy_tuple(reference, t)
-        got = compiled.evaluate(t)
-        # Plain == is bitwise for floats except NaN (never produced here);
-        # any rounding difference between the numpy and scalar paths is a
-        # real fingerprint break, not test noise.
-        assert got == expected, (t, got, expected)
+        # Plain == is bitwise for floats except NaN (never produced here).
+        got = _row(compiled.evaluate(t), compiled, "vm")
+        assert got == _reference_tuple(demand, t), t
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    profile_name=st.sampled_from(_PROFILE_NAMES),
-    switch_at=st.integers(min_value=1, max_value=20),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(("create", "resize", "delete")),
+            st.integers(min_value=0, max_value=11),
+            st.sampled_from(_FLAVOR_NAMES),
+            st.sampled_from(_PROFILE_NAMES),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
 )
-def test_compiled_demand_exact_across_recompile_boundary(
-    seed, profile_name, switch_at
-):
-    """Resize invalidation: a fresh demand object must be recompiled and
-    stay exact — the registry pattern is identity-keyed, so the swap point
-    is where stale caches would first diverge."""
-    ref_old, sub_old = _demand_pair(seed, "g_c2_m8", profile_name)
-    ref_new, sub_new = _demand_pair(seed + 1, "g_c16_m128", profile_name)
-
-    compiled = {"vm": compile_demand(sub_old)}
-    reference, subject = ref_old, sub_old
-    for i in range(switch_at + 10):
-        if i == switch_at:
-            reference, subject = ref_new, sub_new
-        t = 1800.0 * i
-        cd = compiled["vm"]
-        if cd.demand is not subject:
-            cd = compiled["vm"] = compile_demand(subject)
-        assert cd.evaluate(t) == _legacy_tuple(reference, t)
-
-
-def test_compile_demand_returns_compiled_type():
-    _, subject = _demand_pair(3, "g_c8_m32", "general")
-    compiled = compile_demand(subject)
-    assert isinstance(compiled, CompiledDemand)
-    assert compiled.demand is subject
-
-
-def test_diurnal_memo_stays_exact_past_table_cap():
-    """The day-phase memo clears at TABLE_CAP entries; exactness must
-    survive the flush (distinct phases > cap forces at least one)."""
-    pattern = patterns.diurnal(base=0.2, peak=0.9)
-    fn = compile_pattern(pattern)
-    # Prime-ish stride so phases don't repeat until well past the cap.
-    times = [i * 7919.0 for i in range(TABLE_CAP + 50)]
-    for t in times:
-        expected = float(pattern(np.asarray([t], dtype=float))[0])
-        assert fn(t) == expected
-
-
-def test_weekly_exact_on_day_boundaries():
-    """Weekly is computed scalar-side; day-boundary ticks are where a
-    floor-division discrepancy would bite."""
-    pattern = patterns.weekly(weekday_scale=1.0, weekend_scale=0.3)
-    fn = compile_pattern(pattern)
-    for day in range(0, 21):
-        for nudge in (-0.001, 0.0, 0.001):
-            t = day * 86_400.0 + nudge
-            if t < 0:
-                continue
-            expected = float(pattern(np.asarray([t], dtype=float))[0])
-            assert fn(t) == expected
-            assert math.isfinite(fn(t))
-
-
-def test_unknown_pattern_falls_back_to_closure():
-    def custom(ts):
-        return np.full(len(np.asarray(ts)), 0.5)
-
-    fn = compile_pattern(custom)
-    assert fn(123.0) == 0.5
+def test_compiled_demand_exact_across_recompile_boundary(seed, ops):
+    """Rows written on create, rewritten on resize, freed on delete and
+    reused stay bit-identical to each VM's own ``VMDemand.evaluate``."""
+    model = DemandModel(np.random.default_rng(seed))
+    catalog = default_catalog()
+    compiled = CompiledDemand(capacity=2)
+    live = {}
+    for step, (op, vm, flavor_name, profile_name) in enumerate(ops):
+        vm_id = f"vm-{vm}"
+        if op == "delete":
+            compiled.discard(vm_id)
+            live.pop(vm_id, None)
+        elif op == "create" or vm_id in live:
+            demand = model.demand_for(
+                catalog.get(flavor_name), PROFILES[profile_name]
+            ).anchored(300.0 * step)
+            compiled.set(vm_id, demand)
+            live[vm_id] = demand
+        assert len(compiled) == len(live)
+        assert len(set(compiled.rows.values())) == len(live)
+        t = 1800.0 * step + 7.5
+        columns = compiled.evaluate(t)
+        for vm_id, demand in live.items():
+            assert compiled.get(vm_id) is demand
+            assert _row(columns, compiled, vm_id) == _reference_tuple(demand, t)
 
 
 @pytest.mark.parametrize("profile_name", _PROFILE_NAMES)
 def test_every_builtin_profile_compiles_exactly(profile_name):
-    """No profile's pattern mix silently hits the slow fallback wrong."""
-    reference, subject = _demand_pair(42, "g_c8_m32", profile_name)
-    compiled = compile_demand(subject)
+    """Every profile's pattern mix has a column layout, exact over a day."""
+    compiled = CompiledDemand()
+    demands = {
+        f"{flavor}-{seed}": _demand(seed, flavor, profile_name, origin=3600.0 * seed)
+        for seed in range(4)
+        for flavor in _FLAVOR_NAMES
+    }
+    for vm_id, demand in demands.items():
+        compiled.set(vm_id, demand)
     for i in range(96):
         t = 900.0 * i
-        assert compiled.evaluate(t) == _legacy_tuple(reference, t)
+        columns = compiled.evaluate(t)
+        for vm_id, demand in demands.items():
+            assert _row(columns, compiled, vm_id) == _reference_tuple(demand, t)
+
+
+def test_weekly_exact_on_day_boundaries():
+    """Day-boundary ticks are where a floor-division discrepancy would bite."""
+    demand = _demand(3, "g_c8_m32", "abap_app")
+    assert isinstance(demand.cpu_pattern.inner, patterns.Composite)
+    compiled = CompiledDemand()
+    compiled.set("vm", demand)
+    for day in range(21):
+        for nudge in (-0.001, 0.0, 0.001):
+            t = day * 86_400.0 + nudge
+            if t < 0:
+                continue
+            assert _row(compiled.evaluate(t), compiled, "vm") == _reference_tuple(
+                demand, t
+            )
+
+
+def test_unknown_pattern_has_no_column_layout():
+    demand = _demand(3, "g_c8_m32", "general")
+    custom = patterns.with_noise(lambda ts: np.full(len(ts), 0.5), 0.01, key=1)
+    compiled = CompiledDemand()
+    with pytest.raises(TypeError, match="column layout"):
+        compiled.set("vm", type(demand)(**{**vars(demand), "cpu_pattern": custom}))
+    assert len(compiled) == 0 and not compiled.rows
+
+
+def test_ramp_moves_between_single_timestamp_evaluations():
+    """A ramp measured from the VM's creation progresses tick by tick."""
+    ramp = patterns.with_noise(
+        patterns.ramp(0.2, 0.8, duration=10 * 86_400.0), sigma=0.0, key=1
+    )
+    demand = _demand(3, "g_c8_m32", "k8s_infra")
+    demand = type(demand)(**{**vars(demand), "cpu_pattern": ramp}).anchored(86_400.0)
+    compiled = CompiledDemand()
+    compiled.set("vm", demand)
+    ratios = [
+        compiled.evaluate(86_400.0 * (1 + day)).cpu_cores[compiled.rows["vm"]]
+        / demand.flavor.vcpus
+        for day in (0, 5, 10, 20)
+    ]
+    assert ratios == pytest.approx([0.2, 0.5, 0.8, 0.8])
+
+
+def test_simulated_ramps_grow():
+    """In the simulation, ramp VMs' demand changes between scrapes."""
+    sim = RegionSimulation(
+        build_tiny_region_spec(), SimulationConfig(duration_days=0.01, initial_vms=30, seed=4)
+    )
+    sim.run()
+    ramps = [
+        vm_id
+        for vm_id in sim.demands.rows
+        if isinstance(sim.demands.get(vm_id).mem_pattern.inner, patterns.Ramp)
+    ]
+    assert ramps
+    early = sim.demands.evaluate(0.0).memory_mb
+    late = sim.demands.evaluate(10 * 86_400.0).memory_mb
+    rows = [sim.demands.rows[vm_id] for vm_id in ramps]
+    assert np.any(np.abs(late[rows] - early[rows]) > 0.02 * early[rows])
