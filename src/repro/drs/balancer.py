@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-import numpy as np
-
 from repro.drs.affinity import AffinityRules
 from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode
 from repro.infrastructure.vm import VM
@@ -97,24 +95,13 @@ class DrsBalancer:
         capacity, so counting their zero load would read as imbalance the
         balancer can never fix (and must not "fix" by migrating onto them).
         """
-        fractions: dict[str, float] = {}
-        for node in bb.iter_nodes():
-            if node.failed:
-                continue
-            load = sum(load_fn(vm) for vm in node.vms.values())
-            fractions[node.node_id] = (
-                load / node.physical.vcpus if node.physical.vcpus > 0 else 0.0
-            )
-        return fractions
+        return _fractions(bb, load_snapshot(bb, load_fn))
 
     def imbalance(
         self, bb: BuildingBlock, load_fn: LoadFn = _allocated_load
     ) -> float:
         """Cluster imbalance: std-dev of node load fractions."""
-        fractions = list(self.node_load_fractions(bb, load_fn).values())
-        if len(fractions) < 2:
-            return 0.0
-        return float(np.std(fractions))
+        return Spread(self.node_load_fractions(bb, load_fn).values()).std
 
     def run(
         self,
@@ -130,11 +117,8 @@ class DrsBalancer:
         moves mid-precopy: the VM stays on its source and is not retried
         within this pass.
         """
-        nodes = [node for node in bb.iter_nodes() if not node.failed]
-        loads = {
-            vm_id: load_fn(vm) for node in nodes for vm_id, vm in node.vms.items()
-        }
-        fractions = {node.node_id: _fraction(node, loads) for node in nodes}
+        loads = load_snapshot(bb, load_fn)
+        fractions = _fractions(bb, loads)
         migrations: list[Migration] = []
         aborted: set[str] = set()
         for _ in range(self.config.max_moves_per_run):
@@ -153,16 +137,9 @@ class DrsBalancer:
             vm = source.remove_vm(vm_id)
             target.add_vm(vm)
             vm.migrations += 1
-            for node in (source, target):
-                fractions[node.node_id] = _fraction(node, loads)
+            fractions.update(_fractions(bb, loads, (source, target)))
             migrations.append(
-                Migration(
-                    vm_id=vm_id,
-                    source_node=source.node_id,
-                    target_node=target.node_id,
-                    load_cores=load,
-                    improvement=improvement,
-                )
+                Migration(vm_id, source.node_id, target.node_id, load, improvement)
             )
         return migrations
 
@@ -178,10 +155,10 @@ class DrsBalancer:
 
         Sources the most loaded node; tries its VMs in residence order
         against healthy targets, least loaded first; a later candidate wins
-        only if strictly better by more than :data:`TIE`.  Prefers light VMs: a heavy VM (above
-        ``heavy_vm_cores``) is only chosen when no lighter candidate
-        achieves the minimum improvement.  VMs in ``exclude`` (this pass's
-        aborted migrations) are never considered.
+        only if better by more than :data:`TIE`.  Prefers light VMs: a
+        heavy VM (above ``heavy_vm_cores``) is only chosen when no lighter
+        candidate achieves the minimum improvement.  VMs in ``exclude``
+        (this pass's aborted migrations) are never considered.
 
         When every node has the source's core count, moving a given load
         scores worse the more loaded the target, so only each VM's first
@@ -255,7 +232,25 @@ class DrsBalancer:
         return math.sqrt(max(dev2, 0.0) / spread.n)
 
 
-def _fraction(node: ComputeNode, loads: dict[str, float]) -> float:
-    """A node's snapshotted load as a fraction of its physical cores."""
-    load = sum(loads[vm_id] for vm_id in node.vms)
-    return load / node.physical.vcpus if node.physical.vcpus > 0 else 0.0
+def load_snapshot(bb: BuildingBlock, load_fn: LoadFn) -> dict[str, float]:
+    """vm_id -> load of every VM on a live node, one ``load_fn`` call each."""
+    return {
+        vm_id: load_fn(vm)
+        for node in bb.iter_nodes()
+        if not node.failed
+        for vm_id, vm in node.vms.items()
+    }
+
+
+def _fractions(bb, loads, nodes=None) -> dict[str, float]:
+    """Snapshotted load over physical cores of ``nodes`` (default: every
+    live node of ``bb``), summed in residence order."""
+    return {
+        node.node_id: (
+            sum(loads[vm_id] for vm_id in node.vms) / node.physical.vcpus
+            if node.physical.vcpus > 0
+            else 0.0
+        )
+        for node in (nodes if nodes is not None else bb.iter_nodes())
+        if not node.failed
+    }

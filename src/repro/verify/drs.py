@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.drs.affinity import AffinityRules
-from repro.drs.balancer import TIE, DrsBalancer, DrsConfig, Migration, _allocated_load
+from repro.drs.balancer import (
+    TIE,
+    DrsBalancer,
+    DrsConfig,
+    Migration,
+    _allocated_load,
+    load_snapshot,
+)
 from repro.infrastructure.hierarchy import BuildingBlock
 from repro.verify.oracle import Mismatch
 from repro.verify.scenarios import VerifyScenario
@@ -115,12 +122,7 @@ class ComparingBalancer(DrsBalancer):
         self.mismatches: list[Mismatch] = []
 
     def run(self, bb, load_fn=_allocated_load, fault_model=None):
-        snapshot = {
-            vm_id: load_fn(vm)
-            for node in bb.iter_nodes()
-            if not node.failed
-            for vm_id, vm in node.vms.items()
-        }
+        snapshot = load_snapshot(bb, load_fn)
         expected = reference_pass(
             copy.deepcopy(bb),
             snapshot,

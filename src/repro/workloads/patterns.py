@@ -7,17 +7,13 @@ weekday/weekend effect (visible in the paper's Fig 8 ready-time series),
 CI/CD burstiness, slow ramps (the paper observes nodes with consistently
 increasing CPU demand, §5.1), and spike trains.
 
-Every pattern is a pure function of time.  The random ones (:func:`bursty`,
-:func:`with_noise`) take a 64-bit key instead of a generator and derive
-each value from a splitmix64 hash of (key, stream, t), so evaluating a
-pattern never advances an RNG: the same ``t`` always gives the same value,
-whoever asks and however often.  Ramps carry an explicit ``origin``.
-
-Patterns are small frozen dataclasses whose arithmetic lives in the
-module-level kernels below.  Kernel parameters broadcast, so
-:mod:`repro.workloads.waveform` evaluates a whole population's parameter
-columns with the same ufunc sequence as one pattern on one timestamp, bit
-for bit.
+Every pattern is a pure function of time: :func:`bursty` and
+:func:`with_noise` hash (key, stream, t) with splitmix64 instead of drawing
+from a generator, and ramps carry an explicit ``origin``.  Patterns are
+frozen dataclasses, each its own factory (``ramp`` is :class:`Ramp`); a
+class's ``kernel`` broadcasts over parameter arrays, so
+:mod:`repro.workloads.waveform` evaluates a population's parameter columns
+with the same ufuncs as one pattern on one timestamp, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,17 +42,16 @@ DemandPattern = Callable[[np.ndarray], np.ndarray]
 
 _GOLDEN, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
-_GOLDEN_U, _MIX1_U, _MIX2_U = (np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2))
-_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
-_TABLE_SHIFT = np.uint64(48)  # 2**16 table entries
-_UNIFORM_SHIFT = np.uint64(11)  # 53 mantissa bits
+_G, _M1, _M2, _S30, _S27, _S31 = (
+    np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2, 30, 27, 31)
+)
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
     """splitmix64 on a uint64 array (array arithmetic wraps silently)."""
-    z = x + _GOLDEN_U
-    z = (z ^ (z >> _S30)) * _MIX1_U
-    z = (z ^ (z >> _S27)) * _MIX2_U
+    z = x + _G
+    z = (z ^ (z >> _S30)) * _M1
+    z = (z ^ (z >> _S27)) * _M2
     return z ^ (z >> _S31)
 
 
@@ -73,9 +68,9 @@ def stream_key(key: int, stream: int) -> int:
     return _mix_int(key ^ _mix_int(stream))
 
 
-def normal(skey, ts: np.ndarray) -> np.ndarray:
-    """Standard normals hashed from stream seed(s) ``skey`` and ``ts``'s bits."""
-    return _normal_table()[_mix(skey ^ _float_bits(ts)) >> _TABLE_SHIFT]
+def _hash(skey, values: np.ndarray) -> np.ndarray:
+    """Hash stream seed(s) ``skey`` with the float64 bits of ``values``."""
+    return _mix(skey ^ np.ascontiguousarray(values, dtype=np.float64).view(np.uint64))
 
 
 @functools.cache
@@ -84,270 +79,208 @@ def _normal_table() -> np.ndarray:
     seed-free discretisation, gathered by the top 16 bits of a hash."""
     half = 1 << 15
     dist = statistics.NormalDist()
-    upper = np.asarray(
-        [dist.inv_cdf(0.5 + (i + 0.5) / (2 * half)) for i in range(half)]
-    )
-    return np.concatenate([-upper[::-1], upper])
+    upper = np.asarray([dist.inv_cdf(0.5 + (i + 0.5) / (2 * half)) for i in range(half)])
+    table = np.concatenate([-upper[::-1], upper])
+    table.setflags(write=False)  # shared by every caller
+    return table
 
 
-def _float_bits(ts: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(ts, dtype=np.float64).view(np.uint64)
+def normal(skey, ts: np.ndarray) -> np.ndarray:
+    """Standard normals hashed from stream seed(s) ``skey`` and ``ts``."""
+    return _normal_table()[_hash(skey, ts) >> np.uint64(48)]
 
 
-# -- kernels (parameters broadcast) --------------------------------------------
+class _Kernel:
+    """A pattern whose value is ``kernel(ts, *args())``."""
 
+    def args(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
-def ramp_kernel(ts, start_level, end_level, duration, origin):
-    progress = np.clip((ts - origin) / duration, 0.0, 1.0)
-    return start_level + (end_level - start_level) * progress
-
-
-def diurnal_kernel(ts, base, peak, peak_hour, width_hours):
-    hour = (ts % SECONDS_PER_DAY) / 3600.0
-    # Wrap-around distance to the peak hour.
-    dist = np.minimum(np.abs(hour - peak_hour), 24.0 - np.abs(hour - peak_hour))
-    bump = np.exp(-0.5 * (dist / width_hours) ** 2)
-    return base + (peak - base) * bump
-
-
-def weekly_kernel(ts, weekday_scale, weekend_scale):
-    day_index = (np.floor(ts / SECONDS_PER_DAY).astype(int) + 3) % 7  # 0 = Monday
-    return np.where(day_index >= 5, weekend_scale, weekday_scale)
-
-
-def bursty_kernel(ts, base, burst_level, burst_probability, run_s, skey):
-    slots = np.floor(ts / run_s)
-    u = (_mix(skey ^ _float_bits(slots)) >> _UNIFORM_SHIFT) * (2.0**-53)
-    return np.where(u < burst_probability, burst_level, base)
-
-
-def spike_kernel(ts, base, spike_level, period, spike_width, phase):
-    return np.where(((ts + phase) % period) < spike_width, spike_level, base)
-
-
-def noise_kernel(values, z, sigma):
-    """``values`` plus ``sigma`` times standard normals ``z``, clipped."""
-    return np.clip(values + sigma * z, 0.0, 1.0)
-
-
-# -- patterns ------------------------------------------------------------------
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        return self.kernel(np.asarray(ts, dtype=float), *self.args())
 
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Kernel):
+    """A flat utilisation level."""
+
     level: float
 
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        return np.full(len(ts), self.level)
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.level <= 1.5:
+            raise ValueError("level must be within [0, 1.5]")
+
+    @staticmethod
+    def kernel(ts, level):
+        return np.full(len(ts), level)
 
 
 @dataclass(frozen=True)
-class Diurnal:
-    base: float
-    peak: float
-    peak_hour: float
-    width_hours: float
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        return diurnal_kernel(
-            np.asarray(ts, dtype=float),
-            self.base, self.peak, self.peak_hour, self.width_hours,
-        )
-
-
-@dataclass(frozen=True)
-class Weekly:
-    weekday_scale: float
-    weekend_scale: float
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        return weekly_kernel(
-            np.asarray(ts, dtype=float), self.weekday_scale, self.weekend_scale
-        )
-
-
-@dataclass(frozen=True)
-class Ramp:
-    start_level: float
-    end_level: float
-    duration: float
-    origin: float
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        return ramp_kernel(
-            np.asarray(ts, dtype=float),
-            self.start_level, self.end_level, self.duration, self.origin,
-        )
-
-
-@dataclass(frozen=True)
-class Bursty:
-    base: float
-    burst_level: float
-    burst_probability: float
-    key: int
-    correlation: int
-
-    @property
-    def run_s(self) -> float:
-        return self.correlation * BURST_SLOT_S
-
-    @functools.cached_property
-    def skey(self) -> np.ndarray:
-        return np.asarray([stream_key(self.key, BURSTS)], dtype=np.uint64)
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        return bursty_kernel(
-            np.asarray(ts, dtype=float), self.base, self.burst_level,
-            self.burst_probability, self.run_s, self.skey,
-        )
-
-
-@dataclass(frozen=True)
-class SpikeTrain:
-    base: float
-    spike_level: float
-    period: float
-    spike_width: float
-    phase: float
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        return spike_kernel(
-            np.asarray(ts, dtype=float), self.base, self.spike_level,
-            self.period, self.spike_width, self.phase,
-        )
-
-
-@dataclass(frozen=True)
-class Composite:
-    parts: tuple
-    mode: str
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        value = self.parts[0](ts)
-        for part in self.parts[1:]:
-            if self.mode == "max":
-                value = np.maximum(value, part(ts))
-            elif self.mode == "sum":
-                value = value + part(ts)
-            else:
-                value = value * part(ts)
-        return np.clip(value, 0.0, 1.0) if self.mode == "sum" else value
-
-
-@dataclass(frozen=True)
-class Noisy:
-    inner: DemandPattern
-    sigma: float
-    key: int
-    stream: int
-
-    @functools.cached_property
-    def skey(self) -> np.ndarray:
-        return np.asarray([stream_key(self.key, self.stream)], dtype=np.uint64)
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return noise_kernel(self.inner(ts), normal(self.skey, ts), self.sigma)
-
-
-# -- factories -----------------------------------------------------------------
-
-
-def constant(level: float) -> DemandPattern:
-    """A flat utilisation level."""
-    if not 0.0 <= level <= 1.5:
-        raise ValueError("level must be within [0, 1.5]")
-    return Constant(level)
-
-
-def diurnal(
-    base: float,
-    peak: float,
-    peak_hour: float = 13.0,
-    width_hours: float = 4.0,
-) -> DemandPattern:
+class Diurnal(_Kernel):
     """Business-hours bell curve on top of a base load.
 
     ``peak_hour`` is the UTC hour of maximum demand; ``width_hours`` the
     Gaussian standard deviation of the bump.
     """
-    if peak < base:
-        raise ValueError("peak must be >= base")
-    return Diurnal(base, peak, peak_hour, width_hours)
+
+    base: float
+    peak: float
+    peak_hour: float = 13.0
+    width_hours: float = 4.0
+
+    def __post_init__(self) -> None:
+        if self.peak < self.base:
+            raise ValueError("peak must be >= base")
+
+    @staticmethod
+    def kernel(ts, base, peak, peak_hour, width_hours):
+        hour = (ts % SECONDS_PER_DAY) / 3600.0
+        # Wrap-around distance to the peak hour.
+        dist = np.minimum(np.abs(hour - peak_hour), 24.0 - np.abs(hour - peak_hour))
+        bump = np.exp(-0.5 * (dist / width_hours) ** 2)
+        return base + (peak - base) * bump
 
 
-def weekly(weekday_scale: float = 1.0, weekend_scale: float = 0.6) -> DemandPattern:
+@dataclass(frozen=True)
+class Weekly(_Kernel):
     """Multiplicative weekday/weekend factor.
 
     Epoch day 0 (1970-01-01) was a Thursday; weekday indices follow that.
     """
-    return Weekly(weekday_scale, weekend_scale)
+
+    weekday_scale: float = 1.0
+    weekend_scale: float = 0.6
+
+    @staticmethod
+    def kernel(ts, weekday_scale, weekend_scale):
+        day_index = (np.floor(ts / SECONDS_PER_DAY).astype(int) + 3) % 7  # 0 = Monday
+        return np.where(day_index >= 5, weekend_scale, weekday_scale)
 
 
-def ramp(
-    start_level: float, end_level: float, duration: float, origin: float = 0.0
-) -> DemandPattern:
+@dataclass(frozen=True)
+class Ramp(_Kernel):
     """Linear drift from ``start_level`` to ``end_level`` over ``duration`` s.
 
     Progress is measured from ``origin`` (epoch seconds): demand holds at
     ``start_level`` before it and at ``end_level`` after the ramp.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    return Ramp(start_level, end_level, duration, origin)
+
+    start_level: float
+    end_level: float
+    duration: float
+    origin: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.duration <= 0:
+            raise ValueError("duration must be positive")
+
+    @staticmethod
+    def kernel(ts, start_level, end_level, duration, origin):
+        progress = np.clip((ts - origin) / duration, 0.0, 1.0)
+        return start_level + (end_level - start_level) * progress
 
 
-def bursty(
-    base: float,
-    burst_level: float,
-    burst_probability: float,
-    key: int,
-    correlation: int = 4,
-) -> DemandPattern:
+@dataclass(frozen=True)
+class Bursty(_Kernel):
     """Random bursts (CI/CD-like): runs of elevated demand.
 
     Time is cut into runs of ``correlation`` 15-minute slots; each run is
     a burst with ``burst_probability``, decided by a hash of ``key`` and
     the run's index, so bursts last several sampling intervals.
     """
-    if not 0.0 <= burst_probability <= 1.0:
-        raise ValueError("burst_probability must be within [0, 1]")
-    return Bursty(base, burst_level, burst_probability, key, max(1, correlation))
+
+    base: float
+    burst_level: float
+    burst_probability: float
+    key: int
+    correlation: int = 4
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.burst_probability <= 1.0:
+            raise ValueError("burst_probability must be within [0, 1]")
+
+    def args(self) -> tuple:
+        """The float arguments; the hash seed is passed on its own."""
+        run_s = max(1, self.correlation) * BURST_SLOT_S
+        return (self.base, self.burst_level, self.burst_probability, run_s)
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        skey = np.asarray([stream_key(self.key, BURSTS)], dtype=np.uint64)
+        return self.kernel(np.asarray(ts, dtype=float), *self.args(), skey)
+
+    @staticmethod
+    def kernel(ts, base, burst_level, burst_probability, run_s, skey):
+        u = (_hash(skey, np.floor(ts / run_s)) >> np.uint64(11)) * (2.0**-53)
+        return np.where(u < burst_probability, burst_level, base)
 
 
-def spike_train(
-    base: float,
-    spike_level: float,
-    period: float,
-    spike_width: float,
-    phase: float = 0.0,
-) -> DemandPattern:
+@dataclass(frozen=True)
+class SpikeTrain(_Kernel):
     """Periodic spikes (batch jobs, backups) of ``spike_width`` seconds."""
-    if period <= 0 or spike_width <= 0:
-        raise ValueError("period and spike_width must be positive")
-    return SpikeTrain(base, spike_level, period, spike_width, phase)
+
+    base: float
+    spike_level: float
+    period: float
+    spike_width: float
+    phase: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.period <= 0 or self.spike_width <= 0:
+            raise ValueError("period and spike_width must be positive")
+
+    @staticmethod
+    def kernel(ts, base, spike_level, period, spike_width, phase):
+        return np.where(((ts + phase) % period) < spike_width, spike_level, base)
 
 
-def composite(
-    patterns: Sequence[DemandPattern],
-    mode: str = "max",
-) -> DemandPattern:
+@dataclass(frozen=True)
+class Composite:
     """Combine patterns: ``max``, ``sum`` (clipped to 1), or ``product``."""
-    if not patterns:
-        raise ValueError("need at least one pattern")
-    if mode not in ("max", "sum", "product"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return Composite(tuple(patterns), mode)
+
+    patterns: Sequence[DemandPattern]
+    mode: str = "max"
+
+    def __post_init__(self) -> None:
+        if not self.patterns:
+            raise ValueError("need at least one pattern")
+        if self.mode not in ("max", "sum", "product"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        object.__setattr__(self, "patterns", tuple(self.patterns))
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        combine = {"max": np.maximum, "sum": np.add, "product": np.multiply}
+        value = self.patterns[0](ts)
+        for part in self.patterns[1:]:
+            value = combine[self.mode](value, part(ts))
+        return np.clip(value, 0.0, 1.0) if self.mode == "sum" else value
 
 
-def with_noise(
-    pattern: DemandPattern, sigma: float, key: int, stream: int = CPU_NOISE
-) -> DemandPattern:
-    """Add clipped Gaussian noise, hashed from (key, stream, t), to a pattern."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    return Noisy(pattern, sigma, key, stream)
+@dataclass(frozen=True)
+class Noisy:
+    """Clipped Gaussian noise, hashed from (key, stream, t), on a pattern."""
+
+    pattern: DemandPattern
+    sigma: float
+    key: int
+    stream: int = CPU_NOISE
+
+    def __post_init__(self) -> None:
+        if self.sigma < 0:
+            raise ValueError("sigma must be non-negative")
+
+    def __call__(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        skey = np.asarray([stream_key(self.key, self.stream)], dtype=np.uint64)
+        return self.kernel(self.pattern(ts), normal(skey, ts), self.sigma)
+
+    @staticmethod
+    def kernel(values, z, sigma):
+        """``values`` plus ``sigma`` times standard normals ``z``, clipped."""
+        return np.clip(values + sigma * z, 0.0, 1.0)
+
+
+constant, diurnal, weekly, ramp = Constant, Diurnal, Weekly, Ramp
+bursty, spike_train, composite, with_noise = Bursty, SpikeTrain, Composite, Noisy
 
 
 def anchored(pattern: DemandPattern, origin: float) -> DemandPattern:
@@ -356,11 +289,11 @@ def anchored(pattern: DemandPattern, origin: float) -> DemandPattern:
     if isinstance(pattern, Ramp):
         return dataclasses.replace(pattern, origin=origin)
     if isinstance(pattern, Noisy):
-        inner = anchored(pattern.inner, origin)
-        if inner is not pattern.inner:
-            return dataclasses.replace(pattern, inner=inner)
+        inner = anchored(pattern.pattern, origin)
+        if inner is not pattern.pattern:
+            return dataclasses.replace(pattern, pattern=inner)
     if isinstance(pattern, Composite):
-        parts = tuple(anchored(p, origin) for p in pattern.parts)
-        if any(a is not b for a, b in zip(parts, pattern.parts)):
-            return dataclasses.replace(pattern, parts=parts)
+        parts = tuple(anchored(p, origin) for p in pattern.patterns)
+        if any(a is not b for a, b in zip(parts, pattern.patterns)):
+            return dataclasses.replace(pattern, patterns=parts)
     return pattern

@@ -1,26 +1,18 @@
 """Per-VM demand as parameter columns, evaluated for every VM at once.
 
-The simulation needs every live VM's demand at one timestamp per scrape
-tick, and DRS reads the same values.  :class:`CompiledDemand` keeps one
-row of pattern parameters per VM -- written on create or resize, freed on
-delete, never rebuilt per tick -- and :meth:`CompiledDemand.evaluate`
-computes all rows at ``t`` in one numpy pass through the kernels of
-:mod:`repro.workloads.patterns`.  A pattern evaluated on a one-element
-grid runs the same ufuncs on the same operands, so each row equals
-``VMDemand.evaluate(np.asarray([t]))`` bit for bit; demand is a pure
-function of (VM, t), so the order and number of evaluations never matter.
-
-The columns hold the shapes :class:`~repro.workloads.profiles.WorkloadProfile`
-builds, each wrapped in noise: for CPU a constant or ramp, a diurnal x
-weekly product, bursts, or the max of a constant and a spike train; for
-memory a constant or ramp.  Every row carries the parameters of all CPU
-shapes (neutral values for the shapes it does not use); the pass computes
-each shape for every row and picks a row's own by its kind code.
+:class:`CompiledDemand` keeps one row of pattern parameters per VM --
+written on create or resize, freed on delete -- and evaluates all rows at
+``t`` in one numpy pass through the pattern kernels, bit-identical to each
+row's ``VMDemand.evaluate(np.asarray([t]))``.  Rows hold the shapes
+:class:`~repro.workloads.profiles.WorkloadProfile` builds, under noise:
+for CPU a constant or ramp, diurnal x weekly, bursts, or max(constant,
+spike train); for memory a constant or ramp.  Every row carries every CPU
+shape's parameters (neutral ones where unused); the pass computes each
+shape for every row and picks a row's own by its shape code.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,28 +23,41 @@ from repro.workloads.demand import VMDemand
 #: CPU shape codes, in ``np.choose`` order.
 LEVEL, DIURNAL, BURSTY, SPIKY = range(4)
 
-#: Float parameter columns, and the value of rows that do not use one.
+
+def _level(p) -> pat.Ramp | None:
+    """A constant or ramp as a ramp (a constant has equal ends)."""
+    if isinstance(p, pat.Constant):
+        return pat.Ramp(p.level, p.level, 1.0)
+    return p if isinstance(p, pat.Ramp) else None
+
+
+#: Parameter slots, each holding the neutral pattern written into rows
+#: that do not use the slot (so every kernel stays finite on every row).
 _NEUTRAL = {
-    # CPU constant or ramp (a constant is a ramp with equal ends).
-    "lvl_start": 0.0, "lvl_end": 0.0, "lvl_duration": 1.0, "lvl_origin": 0.0,
-    # CPU diurnal x weekly.
-    "d_base": 0.0, "d_peak": 0.0, "d_hour": 0.0, "d_width": 1.0,
-    "w_weekday": 1.0, "w_weekend": 1.0,
-    # CPU bursts.
-    "b_base": 0.0, "b_burst": 0.0, "b_prob": 0.0, "b_run": 1.0,
-    # CPU max(constant, spike train).
-    "s_floor": 0.0, "s_base": 0.0, "s_level": 0.0, "s_period": 1.0,
-    "s_width": 1.0, "s_phase": 0.0,
-    "cpu_sigma": 0.0,
-    # Memory constant or ramp.
-    "m_start": 0.0, "m_end": 0.0, "m_duration": 1.0, "m_origin": 0.0,
-    "mem_sigma": 0.0,
-    # Absolute scale.
-    "vcpus": 0.0, "ram_mb": 0.0, "net_rate": 0.0, "disk_gb": 0.0,
+    "level": pat.Ramp(0.0, 0.0, 1.0),
+    "diurnal": pat.Diurnal(0.0, 0.0, 0.0, 1.0),
+    "weekly": pat.Weekly(1.0, 1.0),
+    "bursts": pat.Bursty(0.0, 0.0, 0.0, key=0, correlation=1),
+    "floor": pat.Constant(0.0),
+    "spikes": pat.SpikeTrain(0.0, 0.0, 1.0, 1.0),
+    "mem": pat.Ramp(0.0, 0.0, 1.0),
 }
-_FLOATS = tuple(_NEUTRAL)
-#: Hash seeds: CPU and memory noise (hashed together), bursts.
-_KEYS = ("cpu_noise", "mem_noise", "bursts")
+
+
+def _cpu_slots(p) -> tuple[int, dict]:
+    """(shape code, slot -> pattern) of one noise-free CPU shape."""
+    level = _level(p)
+    if level is not None:
+        return LEVEL, {"level": level}
+    if isinstance(p, pat.Bursty):
+        return BURSTY, {"bursts": p}
+    if isinstance(p, pat.Composite) and len(p.patterns) == 2:
+        a, b = p.patterns
+        if p.mode == "product" and isinstance(a, pat.Diurnal) and isinstance(b, pat.Weekly):
+            return DIURNAL, {"diurnal": a, "weekly": b}
+        if p.mode == "max" and isinstance(a, pat.Constant) and isinstance(b, pat.SpikeTrain):
+            return SPIKY, {"floor": a, "spikes": b}
+    raise TypeError(f"no demand column layout for CPU pattern {p!r}")
 
 
 class DemandColumns(NamedTuple):
@@ -65,128 +70,80 @@ class DemandColumns(NamedTuple):
     disk_gb: np.ndarray
 
 
-def _level(p, prefix: str) -> dict[str, float] | None:
-    """A constant or ramp as ramp parameters."""
-    if isinstance(p, pat.Constant):
-        return {f"{prefix}start": p.level, f"{prefix}end": p.level}
-    if isinstance(p, pat.Ramp):
-        return {
-            f"{prefix}start": p.start_level,
-            f"{prefix}end": p.end_level,
-            f"{prefix}duration": p.duration,
-            f"{prefix}origin": p.origin,
-        }
-    return None
-
-
-def _cpu_row(p) -> tuple[int, dict[str, float], int]:
-    """(shape code, parameters, burst hash seed) of one noise-free CPU shape."""
-    level = _level(p, "lvl_")
-    if level is not None:
-        return LEVEL, level, 0
-    if isinstance(p, pat.Bursty):
-        return BURSTY, {
-            "b_base": p.base, "b_burst": p.burst_level,
-            "b_prob": p.burst_probability, "b_run": p.run_s,
-        }, pat.stream_key(p.key, pat.BURSTS)
-    if isinstance(p, pat.Composite) and len(p.parts) == 2:
-        a, b = p.parts
-        if p.mode == "product" and isinstance(a, pat.Diurnal) and isinstance(b, pat.Weekly):
-            return DIURNAL, {
-                "d_base": a.base, "d_peak": a.peak, "d_hour": a.peak_hour,
-                "d_width": a.width_hours, "w_weekday": b.weekday_scale,
-                "w_weekend": b.weekend_scale,
-            }, 0
-        if p.mode == "max" and isinstance(a, pat.Constant) and isinstance(b, pat.SpikeTrain):
-            return SPIKY, {
-                "s_floor": a.level, "s_base": b.base, "s_level": b.spike_level,
-                "s_period": b.period, "s_width": b.spike_width, "s_phase": b.phase,
-            }, 0
-    raise TypeError(f"no demand column layout for CPU pattern {p!r}")
-
-
-def _noisy(p, what: str) -> pat.Noisy:
-    if not isinstance(p, pat.Noisy):
-        raise TypeError(f"no demand column layout for un-noised {what} pattern {p!r}")
-    return p
-
-
 class CompiledDemand:
     """The demand parameter columns of one simulation's VMs.
 
     Also the registry of their :class:`VMDemand` objects: :meth:`get`
     returns a VM's demand, :meth:`set` writes (or rewrites) its row,
-    :meth:`discard` frees it for reuse.
+    :meth:`discard` frees it for reuse.  ``rows`` maps vm_id to row.
     """
 
     def __init__(self, capacity: int = 64) -> None:
         self._demands: dict[str, VMDemand] = {}
-        #: vm_id -> row index.
         self.rows: dict[str, int] = {}
         self._free: list[int] = []
         self._version = 0
         self._cached: tuple[float, int, DemandColumns] | None = None
         self._capacity = 0
+        #: slot -> (kernel args, capacity) floats; "scale" holds CPU and
+        #: memory noise sigma, vcpus, ram_mb, network rate, disk_gb.
+        self._p: dict[str, np.ndarray] = {}
+        #: CPU noise, memory noise and burst hash seeds, (3, capacity).
+        self._keys = np.zeros((3, 0), dtype=np.uint64)
+        self._kind = np.zeros(0, dtype=np.intp)
         self._grow(capacity)
 
     def _grow(self, capacity: int) -> None:
-        floats = np.empty((len(_FLOATS), capacity))
-        floats[:] = np.asarray([_NEUTRAL[name] for name in _FLOATS])[:, None]
-        keys = np.zeros((len(_KEYS), capacity), dtype=np.uint64)
-        kind = np.zeros(capacity, dtype=np.intp)
         old = self._capacity
-        if old:
-            floats[:, :old] = self._floats
-            keys[:, :old] = self._keys
-            kind[:old] = self._kind
-        self._floats, self._keys, self._kind = floats, keys, kind
+        for slot, neutral in {**_NEUTRAL, "scale": None}.items():
+            args = (0.0,) * 6 if neutral is None else neutral.args()
+            grown = np.repeat(np.asarray(args)[:, None], capacity, axis=1)
+            if old:
+                grown[:, :old] = self._p[slot]
+            self._p[slot] = grown
+        keys = np.zeros((3, capacity), dtype=np.uint64)
+        keys[:, :old] = self._keys
+        kind = np.zeros(capacity, dtype=np.intp)
+        kind[:old] = self._kind
+        self._keys, self._kind = keys, kind
         self._free.extend(range(capacity - 1, old - 1, -1))
         self._capacity = capacity
-        self._c = SimpleNamespace(
-            **{name: floats[i] for i, name in enumerate(_FLOATS)},
-            **{name: keys[i] for i, name in enumerate(_KEYS)},
-        )
-
-    def __len__(self) -> int:
-        return len(self._demands)
 
     def get(self, vm_id: str) -> VMDemand | None:
         return self._demands.get(vm_id)
 
     def set(self, vm_id: str, demand: VMDemand) -> None:
         """Register ``demand`` for ``vm_id`` and write its row."""
-        cpu = _noisy(demand.cpu_pattern, "CPU")
-        mem = _noisy(demand.mem_pattern, "memory")
-        kind, cpu_params, burst_skey = _cpu_row(cpu.inner)
-        mem_params = _level(mem.inner, "m_")
-        if mem_params is None:
+        cpu, mem = demand.cpu_pattern, demand.mem_pattern
+        if not (isinstance(cpu, pat.Noisy) and isinstance(mem, pat.Noisy)):
+            raise TypeError("no demand column layout for un-noised patterns")
+        kind, slots = _cpu_slots(cpu.pattern)
+        slots["mem"] = _level(mem.pattern)
+        if slots["mem"] is None:
             raise TypeError(f"no demand column layout for memory pattern {mem!r}")
         row = self.rows.get(vm_id)
         if row is None:
             if not self._free:
                 self._grow(2 * self._capacity)
             row = self.rows[vm_id] = self._free.pop()
-        values = dict(_NEUTRAL)
-        values.update(cpu_params)
-        values.update(mem_params)
+        for slot, neutral in _NEUTRAL.items():
+            self._p[slot][:, row] = slots.get(slot, neutral).args()
         flavor = demand.flavor
-        values.update(
-            cpu_sigma=cpu.sigma,
-            mem_sigma=mem.sigma,
-            vcpus=flavor.vcpus,
-            ram_mb=flavor.ram_mb,
+        self._p["scale"][:, row] = (
+            cpu.sigma,
+            mem.sigma,
+            flavor.vcpus,
+            flavor.ram_mb,
             # Same association order as VMDemand.evaluate's product.
-            net_rate=demand.network_activity
-            * demand.profile.network_kbps_per_vcpu
-            * flavor.vcpus,
-            disk_gb=demand.disk_used_fraction * flavor.disk_gb,
+            demand.network_activity * demand.profile.network_kbps_per_vcpu * flavor.vcpus,
+            demand.disk_used_fraction * flavor.disk_gb,
         )
-        self._floats[:, row] = [values[name] for name in _FLOATS]
-        self._keys[:, row] = [
+        burst = slots.get("bursts")
+        self._keys[:, row] = (
             pat.stream_key(cpu.key, cpu.stream),
             pat.stream_key(mem.key, mem.stream),
-            burst_skey,
-        ]
+            0 if burst is None else pat.stream_key(burst.key, pat.BURSTS),
+        )
         self._kind[row] = kind
         self._demands[vm_id] = demand
         self._version += 1
@@ -199,30 +156,23 @@ class CompiledDemand:
     def evaluate(self, t: float) -> DemandColumns:
         """Every row's demand at ``t``, in one pass."""
         ts = np.asarray([t], dtype=float)
-        c = self._c
+        p = self._p
         cpu = np.choose(
             self._kind,
             (
-                pat.ramp_kernel(ts, c.lvl_start, c.lvl_end, c.lvl_duration, c.lvl_origin),
-                pat.diurnal_kernel(ts, c.d_base, c.d_peak, c.d_hour, c.d_width)
-                * pat.weekly_kernel(ts, c.w_weekday, c.w_weekend),
-                pat.bursty_kernel(ts, c.b_base, c.b_burst, c.b_prob, c.b_run, c.bursts),
-                np.maximum(
-                    c.s_floor,
-                    pat.spike_kernel(
-                        ts, c.s_base, c.s_level, c.s_period, c.s_width, c.s_phase
-                    ),
-                ),
+                pat.Ramp.kernel(ts, *p["level"]),
+                pat.Diurnal.kernel(ts, *p["diurnal"]) * pat.Weekly.kernel(ts, *p["weekly"]),
+                pat.Bursty.kernel(ts, *p["bursts"], self._keys[2]),
+                np.maximum(p["floor"][0], pat.SpikeTrain.kernel(ts, *p["spikes"])),
             ),
         )
+        cpu_sigma, mem_sigma, vcpus, ram_mb, net_rate, disk_gb = p["scale"]
         z = pat.normal(self._keys[:2], ts)
-        cpu = np.clip(pat.noise_kernel(cpu, z[0], c.cpu_sigma), 0.0, 1.0)
-        mem = pat.ramp_kernel(ts, c.m_start, c.m_end, c.m_duration, c.m_origin)
-        mem = np.clip(pat.noise_kernel(mem, z[1], c.mem_sigma), 0.0, 1.0)
-        net = c.net_rate * cpu
-        return DemandColumns(
-            cpu * c.vcpus, mem * c.ram_mb, net, net * 0.8, c.disk_gb.copy()
-        )
+        cpu = np.clip(pat.Noisy.kernel(cpu, z[0], cpu_sigma), 0.0, 1.0)
+        mem = pat.Ramp.kernel(ts, *p["mem"])
+        mem = np.clip(pat.Noisy.kernel(mem, z[1], mem_sigma), 0.0, 1.0)
+        net = net_rate * cpu
+        return DemandColumns(cpu * vcpus, mem * ram_mb, net, net * 0.8, disk_gb.copy())
 
     def at(self, t: float) -> DemandColumns:
         """:meth:`evaluate` at ``t``, reused until ``t`` or a row changes."""

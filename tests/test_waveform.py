@@ -130,7 +130,7 @@ def test_compiled_demand_exact_across_recompile_boundary(seed, ops):
             ).anchored(300.0 * step)
             compiled.set(vm_id, demand)
             live[vm_id] = demand
-        assert len(compiled) == len(live)
+        assert len(compiled.rows) == len(live)
         assert len(set(compiled.rows.values())) == len(live)
         t = 1800.0 * step + 7.5
         columns = compiled.evaluate(t)
@@ -160,7 +160,7 @@ def test_every_builtin_profile_compiles_exactly(profile_name):
 def test_weekly_exact_on_day_boundaries():
     """Day-boundary ticks are where a floor-division discrepancy would bite."""
     demand = _demand(3, "g_c8_m32", "abap_app")
-    assert isinstance(demand.cpu_pattern.inner, patterns.Composite)
+    assert isinstance(demand.cpu_pattern.pattern, patterns.Composite)
     compiled = CompiledDemand()
     compiled.set("vm", demand)
     for day in range(21):
@@ -179,7 +179,7 @@ def test_unknown_pattern_has_no_column_layout():
     compiled = CompiledDemand()
     with pytest.raises(TypeError, match="column layout"):
         compiled.set("vm", type(demand)(**{**vars(demand), "cpu_pattern": custom}))
-    assert len(compiled) == 0 and not compiled.rows
+    assert not compiled.rows
 
 
 def test_ramp_moves_between_single_timestamp_evaluations():
@@ -208,7 +208,7 @@ def test_simulated_ramps_grow():
     ramps = [
         vm_id
         for vm_id in sim.demands.rows
-        if isinstance(sim.demands.get(vm_id).mem_pattern.inner, patterns.Ramp)
+        if isinstance(sim.demands.get(vm_id).mem_pattern.pattern, patterns.Ramp)
     ]
     assert ramps
     early = sim.demands.evaluate(0.0).memory_mb
