@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import statistics
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -77,6 +76,8 @@ def _hash(skey, values: np.ndarray) -> np.ndarray:
 def _normal_table() -> np.ndarray:
     """2**16 standard-normal quantiles at cell midpoints: an exact,
     seed-free discretisation, gathered by the top 16 bits of a hash."""
+    import statistics  # lazily: needed once, and slow to import
+
     half = 1 << 15
     dist = statistics.NormalDist()
     upper = np.asarray([dist.inv_cdf(0.5 + (i + 0.5) / (2 * half)) for i in range(half)])

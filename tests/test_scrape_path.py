@@ -1,9 +1,10 @@
 """Byte-identity of the columnar scrape fast-path.
 
-The runner's columnar scrape (series handles + compiled waveforms, zero
-Sample objects) must be observationally indistinguishable from the
-per-sample reference in :mod:`repro.verify.scrape`: same placements,
-same counters, same telemetry bytes.  `repro verify --check scrape_path`
+The runner's columnar scrape (series handles, one demand evaluation of
+all VMs per tick, zero Sample objects) must be observationally
+indistinguishable from the per-sample reference in
+:mod:`repro.verify.scrape`: same placements, same counters, same
+telemetry bytes.  `repro verify --check scrape_path`
 holds this on the canned scenarios; these tests hold the building blocks
 (SeriesHandle, content_fingerprint, emit_node/emit_region vs
 scrape_node/scrape_region), an end-to-end faulted run small enough for
