@@ -95,7 +95,7 @@ class DrsBalancer:
         capacity, so counting their zero load would read as imbalance the
         balancer can never fix (and must not "fix" by migrating onto them).
         """
-        return _fractions(bb, load_snapshot(bb, load_fn))
+        return _fractions(bb.iter_nodes(), load_snapshot(bb, load_fn))
 
     def imbalance(
         self, bb: BuildingBlock, load_fn: LoadFn = _allocated_load
@@ -118,7 +118,7 @@ class DrsBalancer:
         within this pass.
         """
         loads = load_snapshot(bb, load_fn)
-        fractions = _fractions(bb, loads)
+        fractions = _fractions(bb.iter_nodes(), loads)
         migrations: list[Migration] = []
         aborted: set[str] = set()
         for _ in range(self.config.max_moves_per_run):
@@ -137,9 +137,15 @@ class DrsBalancer:
             vm = source.remove_vm(vm_id)
             target.add_vm(vm)
             vm.migrations += 1
-            fractions.update(_fractions(bb, loads, (source, target)))
+            fractions.update(_fractions((source, target), loads))
             migrations.append(
-                Migration(vm_id, source.node_id, target.node_id, load, improvement)
+                Migration(
+                    vm_id=vm_id,
+                    source_node=source.node_id,
+                    target_node=target.node_id,
+                    load_cores=load,
+                    improvement=improvement,
+                )
             )
         return migrations
 
@@ -242,15 +248,17 @@ def load_snapshot(bb: BuildingBlock, load_fn: LoadFn) -> dict[str, float]:
     }
 
 
-def _fractions(bb, loads, nodes=None) -> dict[str, float]:
-    """Snapshotted load over physical cores of ``nodes`` (default: every
-    live node of ``bb``), summed in residence order."""
+def _fractions(
+    nodes: Iterable[ComputeNode], loads: dict[str, float]
+) -> dict[str, float]:
+    """Each live node's snapshotted load over its physical cores, summed
+    in residence order."""
     return {
         node.node_id: (
             sum(loads[vm_id] for vm_id in node.vms) / node.physical.vcpus
             if node.physical.vcpus > 0
             else 0.0
         )
-        for node in (nodes if nodes is not None else bb.iter_nodes())
+        for node in nodes
         if not node.failed
     }

@@ -19,7 +19,6 @@ difference in the (VM, source, target) decisions is a defect.  The
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,15 +152,9 @@ class ComparingBalancer(DrsBalancer):
         return got
 
 
-@dataclass
-class DrsPathResult:
-    passes: int
-    migrations: int
-    mismatches: list[Mismatch] = field(default_factory=list)
-
-
-def run_drs_path(scenario: VerifyScenario, seed: int) -> DrsPathResult:
-    """Hourly DRS over one simulated day of the scenario's region."""
+def run_drs_path(scenario: VerifyScenario, seed: int) -> ComparingBalancer:
+    """Hourly DRS over one simulated day of the scenario's region; the
+    returned balancer holds the pass count, migrations and mismatches."""
     from repro.faults.config import FaultConfig
     from repro.simulation.runner import RegionSimulation, SimulationConfig
 
@@ -175,4 +168,4 @@ def run_drs_path(scenario: VerifyScenario, seed: int) -> DrsPathResult:
     sim = RegionSimulation(scenario.topology(), config)
     sim.drs = ComparingBalancer(sim.drs.config, sim.drs.rules)
     sim.run()
-    return DrsPathResult(sim.drs.passes, sim.drs.migrations, sim.drs.mismatches)
+    return sim.drs

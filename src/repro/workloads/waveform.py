@@ -167,10 +167,10 @@ class CompiledDemand:
             ),
         )
         cpu_sigma, mem_sigma, vcpus, ram_mb, net_rate, disk_gb = p["scale"]
+        # Noise clips to [0, 1], so VMDemand.evaluate's second clip is a no-op.
         z = pat.normal(self._keys[:2], ts)
-        cpu = np.clip(pat.Noisy.kernel(cpu, z[0], cpu_sigma), 0.0, 1.0)
-        mem = pat.Ramp.kernel(ts, *p["mem"])
-        mem = np.clip(pat.Noisy.kernel(mem, z[1], mem_sigma), 0.0, 1.0)
+        cpu = pat.Noisy.kernel(cpu, z[0], cpu_sigma)
+        mem = pat.Noisy.kernel(pat.Ramp.kernel(ts, *p["mem"]), z[1], mem_sigma)
         net = net_rate * cpu
         return DemandColumns(cpu * vcpus, mem * ram_mb, net, net * 0.8, disk_gb.copy())
 
