@@ -10,8 +10,8 @@ increasing CPU demand, §5.1), and spike trains.
 Every pattern is a pure function of time: :func:`bursty` and
 :func:`with_noise` hash (key, stream, t) with splitmix64 instead of drawing
 from a generator, and ramps carry an explicit ``origin``.  Patterns are
-frozen dataclasses, each its own factory (``ramp`` is :class:`Ramp`); a
-class's ``kernel`` broadcasts over parameter arrays, so
+frozen dataclasses compared by identity, each its own factory (``ramp`` is
+:class:`Ramp`); a class's ``kernel`` broadcasts over parameter arrays, so
 :mod:`repro.workloads.waveform` evaluates a population's parameter columns
 with the same ufuncs as one pattern on one timestamp, bit for bit.
 """
@@ -101,7 +101,7 @@ class _Kernel:
         return self.kernel(np.asarray(ts, dtype=float), *self.args())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constant(_Kernel):
     """A flat utilisation level."""
 
@@ -116,7 +116,7 @@ class Constant(_Kernel):
         return np.full(len(ts), level)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diurnal(_Kernel):
     """Business-hours bell curve on top of a base load.
 
@@ -142,7 +142,7 @@ class Diurnal(_Kernel):
         return base + (peak - base) * bump
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weekly(_Kernel):
     """Multiplicative weekday/weekend factor.
 
@@ -158,7 +158,7 @@ class Weekly(_Kernel):
         return np.where(day_index >= 5, weekend_scale, weekday_scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ramp(_Kernel):
     """Linear drift from ``start_level`` to ``end_level`` over ``duration`` s.
 
@@ -181,7 +181,7 @@ class Ramp(_Kernel):
         return start_level + (end_level - start_level) * progress
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bursty(_Kernel):
     """Random bursts (CI/CD-like): runs of elevated demand.
 
@@ -215,7 +215,7 @@ class Bursty(_Kernel):
         return np.where(u < burst_probability, burst_level, base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpikeTrain(_Kernel):
     """Periodic spikes (batch jobs, backups) of ``spike_width`` seconds."""
 
@@ -234,7 +234,7 @@ class SpikeTrain(_Kernel):
         return np.where(((ts + phase) % period) < spike_width, spike_level, base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Composite:
     """Combine patterns: ``max``, ``sum`` (clipped to 1), or ``product``."""
 
@@ -256,7 +256,7 @@ class Composite:
         return np.clip(value, 0.0, 1.0) if self.mode == "sum" else value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Noisy:
     """Clipped Gaussian noise, hashed from (key, stream, t), on a pattern."""
 

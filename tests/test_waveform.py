@@ -199,19 +199,22 @@ def test_ramp_moves_between_single_timestamp_evaluations():
     assert ratios == pytest.approx([0.2, 0.5, 0.8, 0.8])
 
 
-def test_simulated_ramps_grow():
-    """In the simulation, ramp VMs' demand changes between scrapes."""
-    sim = RegionSimulation(
-        build_tiny_region_spec(), SimulationConfig(duration_days=0.01, initial_vms=30, seed=4)
+def test_simulated_ramps_start_at_creation():
+    """In the simulation, every ramp is measured from its VM's creation."""
+    config = SimulationConfig(
+        duration_days=0.05, initial_vms=30, arrival_rate_per_hour=60.0, seed=4
     )
-    sim.run()
-    ramps = [
-        vm_id
+    sim = RegionSimulation(build_tiny_region_spec(), config)
+    result = sim.run()
+    ramps = {
+        vm_id: sim.demands.get(vm_id).mem_pattern.pattern
         for vm_id in sim.demands.rows
         if isinstance(sim.demands.get(vm_id).mem_pattern.pattern, patterns.Ramp)
-    ]
+    }
     assert ramps
-    early = sim.demands.evaluate(0.0).memory_mb
-    late = sim.demands.evaluate(10 * 86_400.0).memory_mb
-    rows = [sim.demands.rows[vm_id] for vm_id in ramps]
-    assert np.any(np.abs(late[rows] - early[rows]) > 0.02 * early[rows])
+    assert any(result.vms[vm_id].created_at > 0 for vm_id in ramps)
+    for vm_id, ramp in ramps.items():
+        created = result.vms[vm_id].created_at
+        assert ramp.origin == created
+        ends = ramp(np.asarray([created, created + ramp.duration]))
+        assert list(ends) == pytest.approx([ramp.start_level, ramp.end_level])
