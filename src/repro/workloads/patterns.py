@@ -80,7 +80,9 @@ def _normal_table() -> np.ndarray:
 
     half = 1 << 15
     dist = statistics.NormalDist()
-    upper = np.asarray([dist.inv_cdf(0.5 + (i + 0.5) / (2 * half)) for i in range(half)])
+    upper = np.asarray(
+        [dist.inv_cdf(0.5 + (i + 0.5) / (2 * half)) for i in range(half)]
+    )
     table = np.concatenate([-upper[::-1], upper])
     table.setflags(write=False)  # shared by every caller
     return table

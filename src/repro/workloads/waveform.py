@@ -53,9 +53,10 @@ def _cpu_slots(p) -> tuple[int, dict]:
         return BURSTY, {"bursts": p}
     if isinstance(p, pat.Composite) and len(p.patterns) == 2:
         a, b = p.patterns
-        if p.mode == "product" and isinstance(a, pat.Diurnal) and isinstance(b, pat.Weekly):
+        shapes = (p.mode, type(a), type(b))
+        if shapes == ("product", pat.Diurnal, pat.Weekly):
             return DIURNAL, {"diurnal": a, "weekly": b}
-        if p.mode == "max" and isinstance(a, pat.Constant) and isinstance(b, pat.SpikeTrain):
+        if shapes == ("max", pat.Constant, pat.SpikeTrain):
             return SPIKY, {"floor": a, "spikes": b}
     raise TypeError(f"no demand column layout for CPU pattern {p!r}")
 
@@ -135,7 +136,9 @@ class CompiledDemand:
             flavor.vcpus,
             flavor.ram_mb,
             # Same association order as VMDemand.evaluate's product.
-            demand.network_activity * demand.profile.network_kbps_per_vcpu * flavor.vcpus,
+            demand.network_activity
+            * demand.profile.network_kbps_per_vcpu
+            * flavor.vcpus,
             demand.disk_used_fraction * flavor.disk_gb,
         )
         burst = slots.get("bursts")
@@ -161,7 +164,8 @@ class CompiledDemand:
             self._kind,
             (
                 pat.Ramp.kernel(ts, *p["level"]),
-                pat.Diurnal.kernel(ts, *p["diurnal"]) * pat.Weekly.kernel(ts, *p["weekly"]),
+                pat.Diurnal.kernel(ts, *p["diurnal"])
+                * pat.Weekly.kernel(ts, *p["weekly"]),
                 pat.Bursty.kernel(ts, *p["bursts"], self._keys[2]),
                 np.maximum(p["floor"][0], pat.SpikeTrain.kernel(ts, *p["spikes"])),
             ),
