@@ -78,6 +78,23 @@ class Spread:
     def std(self) -> float:
         return math.sqrt(self.dev2 / self.n) if self.n >= 2 else 0.0
 
+    def std_after(
+        self, source: float, target: float, source_delta: float, target_delta: float
+    ) -> float:
+        """The std once fraction ``source`` drops by ``source_delta`` and
+        ``target`` rises by ``target_delta``: the squared deviations of the
+        two changed nodes swap, then the mean's shift comes off."""
+        m = self.mean
+        dev2 = (
+            self.dev2
+            + (source - source_delta - m) ** 2
+            - (source - m) ** 2
+            + (target + target_delta - m) ** 2
+            - (target - m) ** 2
+            - (target_delta - source_delta) ** 2 / self.n
+        )
+        return math.sqrt(max(dev2, 0.0) / self.n)
+
 
 @dataclass
 class DrsBalancer:
@@ -165,23 +182,16 @@ class DrsBalancer:
         heavy VM (above ``heavy_vm_cores``) is only chosen when no lighter
         candidate achieves the minimum improvement.  VMs in ``exclude``
         (this pass's aborted migrations) are never considered.
-
-        When every node has the source's core count, moving a given load
-        scores worse the more loaded the target, so only each VM's first
-        feasible target is scored.
         """
         ordered = sorted(fractions.items(), key=lambda kv: kv[1], reverse=True)
         source = bb.nodes[ordered[0][0]]
         source_frac = ordered[0][1]
         source_cores = source.physical.vcpus
         targets = [
-            (target, frac, target.physical.vcpus, target.free(bb.overcommit))
-            for target, frac in (
-                (bb.nodes[node_id], frac) for node_id, frac in reversed(ordered[1:])
-            )
-            if target.healthy
+            (node, frac, node.physical.vcpus, node.free(bb.overcommit))
+            for node, frac in ((bb.nodes[n], f) for n, f in reversed(ordered[1:]))
+            if node.healthy
         ]
-        first_only = all(cores == source_cores for _, _, cores, _ in targets)
         current = spread.std
         min_improvement = self.config.min_improvement
         best: tuple[str, ComputeNode, ComputeNode, float, float] | None = None
@@ -196,12 +206,8 @@ class DrsBalancer:
                     continue
                 if not self.rules.allows_move(bb, vm_id, target.node_id):
                     continue
-                improvement = current - self._imbalance_after(
-                    spread,
-                    source_frac,
-                    target_frac,
-                    load / source_cores,
-                    load / target_cores,
+                improvement = current - spread.std_after(
+                    source_frac, target_frac, load / source_cores, load / target_cores
                 )
                 if improvement >= min_improvement:
                     candidate = (vm_id, source, target, load, improvement)
@@ -211,31 +217,7 @@ class DrsBalancer:
                         best_light is None or improvement > best_light[4] + TIE
                     ):
                         best_light = candidate
-                if first_only:
-                    break
         return best_light if best_light is not None else best
-
-    @staticmethod
-    def _imbalance_after(
-        spread: Spread,
-        source_frac: float,
-        target_frac: float,
-        source_delta: float,
-        target_delta: float,
-    ) -> float:
-        """Imbalance after the source's fraction drops by ``source_delta``
-        and the target's rises by ``target_delta``: the squared deviations
-        of the two changed nodes swap, then the mean's shift comes off."""
-        m = spread.mean
-        dev2 = (
-            spread.dev2
-            + (source_frac - source_delta - m) ** 2
-            - (source_frac - m) ** 2
-            + (target_frac + target_delta - m) ** 2
-            - (target_frac - m) ** 2
-            - (target_delta - source_delta) ** 2 / spread.n
-        )
-        return math.sqrt(max(dev2, 0.0) / spread.n)
 
 
 def load_snapshot(bb: BuildingBlock, load_fn: LoadFn) -> dict[str, float]:

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.drs.affinity import AffinityRules
-from repro.drs.balancer import DrsBalancer, DrsConfig
+from repro.drs.balancer import DrsBalancer, DrsConfig, Spread
 from repro.infrastructure.flavors import Flavor
 from repro.infrastructure.vm import VM
 from repro.verify.drs import reference_pass
@@ -115,7 +115,7 @@ def test_drs_path_check_passes():
 def test_one_perturbed_score_is_detected(monkeypatch):
     """The check must fail when production mis-scores a single candidate:
     here the first one scored in the run is made to look far better."""
-    original = DrsBalancer._imbalance_after
+    original = Spread.std_after
     calls = []
 
     def perturbed(*args):
@@ -123,7 +123,7 @@ def test_one_perturbed_score_is_detected(monkeypatch):
         score = original(*args)
         return score - 1.0 if len(calls) == 1 else score
 
-    monkeypatch.setattr(DrsBalancer, "_imbalance_after", staticmethod(perturbed))
+    monkeypatch.setattr(Spread, "std_after", perturbed)
     outcome = _check_drs_path(get_scenario("tiny"), 7)
     assert len(calls) > 1
     assert not outcome.ok
