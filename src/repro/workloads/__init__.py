@@ -8,14 +8,15 @@ time series and lifetimes matching the published characteristics.
 """
 
 from repro.workloads.patterns import (
+    Bursty,
+    Composite,
+    Constant,
     DemandPattern,
-    bursty,
-    composite,
-    constant,
-    diurnal,
-    ramp,
-    spike_train,
-    weekly,
+    Diurnal,
+    Noisy,
+    Ramp,
+    SpikeTrain,
+    Weekly,
 )
 from repro.workloads.profiles import WorkloadProfile, PROFILES, profile_for_flavor
 from repro.workloads.lifetime import LifetimeModel, sample_lifetime
@@ -23,13 +24,14 @@ from repro.workloads.demand import DemandModel, VMDemand
 
 __all__ = [
     "DemandPattern",
-    "constant",
-    "diurnal",
-    "weekly",
-    "bursty",
-    "ramp",
-    "spike_train",
-    "composite",
+    "Constant",
+    "Diurnal",
+    "Weekly",
+    "Bursty",
+    "Ramp",
+    "SpikeTrain",
+    "Composite",
+    "Noisy",
     "WorkloadProfile",
     "PROFILES",
     "profile_for_flavor",

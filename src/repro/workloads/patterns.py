@@ -1,19 +1,21 @@
 """Temporal demand patterns.
 
-A demand pattern maps an array of epoch-second timestamps to a
+A :class:`DemandPattern` maps an array of epoch-second timestamps to a
 utilisation fraction in [0, 1].  Patterns compose multiplicatively or
 additively to build realistic shapes: business-hours diurnal cycles with a
 weekday/weekend effect (visible in the paper's Fig 8 ready-time series),
 CI/CD burstiness, slow ramps (the paper observes nodes with consistently
 increasing CPU demand, §5.1), and spike trains.
 
-Every pattern is a pure function of time: :func:`bursty` and
-:func:`with_noise` hash (key, stream, t) with splitmix64 instead of drawing
+Every pattern is a pure function of time: :class:`Bursty` and
+:class:`Noisy` hash (key, stream, t) with splitmix64 instead of drawing
 from a generator, and ramps carry an explicit ``origin``.  Patterns are
-frozen dataclasses compared by identity, each its own factory (``ramp`` is
-:class:`Ramp`); a class's ``kernel`` broadcasts over parameter arrays, so
-:mod:`repro.workloads.waveform` evaluates a population's parameter columns
-with the same ufuncs as one pattern on one timestamp, bit for bit.
+frozen dataclasses compared by identity.  :meth:`DemandPattern.flatten`
+splits one into a hashable shape and its parameters; :func:`evaluate`
+computes many same-shape patterns from parameter columns, and a pattern's
+own call is that with one-element columns, so
+:mod:`repro.workloads.waveform`'s population pass and one pattern on its
+own agree bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
@@ -36,35 +39,27 @@ BURST_SLOT_S = 900.0
 #: burst draws.
 CPU_NOISE, MEM_NOISE, BURSTS = 1, 2, 3
 
-#: A demand pattern: timestamps (epoch seconds) -> utilisation fraction.
-DemandPattern = Callable[[np.ndarray], np.ndarray]
-
-_GOLDEN, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
-_U64 = (1 << 64) - 1
 _G, _M1, _M2, _S30, _S27, _S31 = (
-    np.uint64(c) for c in (_GOLDEN, _MIX1, _MIX2, 30, 27, 31)
+    np.uint64(c)
+    for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31)
 )
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
     """splitmix64 on a uint64 array (array arithmetic wraps silently)."""
     z = x + _G
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
-
-
-def _mix_int(x: int) -> int:
-    """:func:`_mix` on one Python int, modulo 2**64."""
-    z = (x + _GOLDEN) & _U64
-    z = ((z ^ (z >> 30)) * _MIX1) & _U64
-    z = ((z ^ (z >> 27)) * _MIX2) & _U64
-    return z ^ (z >> 31)
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
 def stream_key(key: int, stream: int) -> int:
     """The hash seed of ``key``'s ``stream``: a 64-bit int."""
-    return _mix_int(key ^ _mix_int(stream))
+    mixed = _mix(np.asarray([stream], dtype=np.uint64))
+    return int(_mix(np.asarray([key], dtype=np.uint64) ^ mixed)[0])
 
 
 def _hash(skey, values: np.ndarray) -> np.ndarray:
@@ -93,14 +88,54 @@ def normal(skey, ts: np.ndarray) -> np.ndarray:
     return _normal_table()[_hash(skey, ts) >> np.uint64(48)]
 
 
-class _Kernel:
-    """A pattern whose value is ``kernel(ts, *args())``."""
+def evaluate(shape: tuple, ts: np.ndarray, floats, seeds) -> np.ndarray:
+    """Patterns of one ``shape`` at ``ts``: row i of ``floats`` (float64)
+    and ``seeds`` (uint64) holds every pattern's i-th parameter; nested
+    shapes consume the rows in order."""
+    cls, detail = shape
+    return cls.columns(detail, ts, iter(floats), iter(seeds))
 
-    def args(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+class DemandPattern:
+    """A demand pattern: timestamps (epoch seconds) -> utilisation fraction.
+
+    ``flatten()`` gives (shape, floats, seeds): the hashable structure
+    (classes and modes) and the float parameters and hash seeds in tree
+    order.
+    """
 
     def __call__(self, ts: np.ndarray) -> np.ndarray:
-        return self.kernel(np.asarray(ts, dtype=float), *self.args())
+        shape, floats, seeds = self.flatten()
+        return evaluate(
+            shape,
+            np.asarray(ts, dtype=float),
+            np.asarray(floats, dtype=float).reshape(-1, 1),
+            np.asarray(seeds, dtype=np.uint64).reshape(-1, 1),
+        )
+
+
+def flatten(pattern) -> tuple:
+    """``pattern.flatten()``, or TypeError if it is no :class:`DemandPattern`."""
+    if not isinstance(pattern, DemandPattern):
+        raise TypeError(f"not a DemandPattern: {pattern!r}")
+    return pattern.flatten()
+
+
+class _Kernel(DemandPattern):
+    """A leaf pattern whose value is ``kernel(ts, *floats, *seeds)``."""
+
+    def params(self) -> tuple[tuple[float, ...], tuple[int, ...]]:
+        """Float parameters (the fields, by default) and hash seeds."""
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self)), ()
+
+    def flatten(self) -> tuple:
+        floats, seeds = self.params()
+        return (type(self), (len(floats), len(seeds))), floats, seeds
+
+    @classmethod
+    def columns(cls, counts, ts, floats, seeds):
+        n_floats, n_seeds = counts
+        return cls.kernel(ts, *islice(floats, n_floats), *islice(seeds, n_seeds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +150,7 @@ class Constant(_Kernel):
 
     @staticmethod
     def kernel(ts, level):
-        return np.full(len(ts), level)
+        return np.zeros_like(ts) + level
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,14 +237,10 @@ class Bursty(_Kernel):
         if not 0.0 <= self.burst_probability <= 1.0:
             raise ValueError("burst_probability must be within [0, 1]")
 
-    def args(self) -> tuple:
-        """The float arguments; the hash seed is passed on its own."""
+    def params(self) -> tuple[tuple[float, ...], tuple[int, ...]]:
         run_s = max(1, self.correlation) * BURST_SLOT_S
-        return (self.base, self.burst_level, self.burst_probability, run_s)
-
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        skey = np.asarray([stream_key(self.key, BURSTS)], dtype=np.uint64)
-        return self.kernel(np.asarray(ts, dtype=float), *self.args(), skey)
+        floats = (self.base, self.burst_level, self.burst_probability, run_s)
+        return floats, (stream_key(self.key, BURSTS),)
 
     @staticmethod
     def kernel(ts, base, burst_level, burst_probability, run_s, skey):
@@ -236,8 +267,11 @@ class SpikeTrain(_Kernel):
         return np.where(((ts + phase) % period) < spike_width, spike_level, base)
 
 
+_COMBINE = {"max": np.maximum, "sum": np.add, "product": np.multiply}
+
+
 @dataclass(frozen=True, eq=False)
-class Composite:
+class Composite(DemandPattern):
     """Combine patterns: ``max``, ``sum`` (clipped to 1), or ``product``."""
 
     patterns: Sequence[DemandPattern]
@@ -246,20 +280,30 @@ class Composite:
     def __post_init__(self) -> None:
         if not self.patterns:
             raise ValueError("need at least one pattern")
-        if self.mode not in ("max", "sum", "product"):
+        if self.mode not in _COMBINE:
             raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "patterns", tuple(self.patterns))
 
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        combine = {"max": np.maximum, "sum": np.add, "product": np.multiply}
-        value = self.patterns[0](ts)
-        for part in self.patterns[1:]:
-            value = combine[self.mode](value, part(ts))
-        return np.clip(value, 0.0, 1.0) if self.mode == "sum" else value
+    def flatten(self) -> tuple:
+        parts = [flatten(p) for p in self.patterns]
+        return (
+            (Composite, (self.mode, tuple(shape for shape, _, _ in parts))),
+            tuple(f for _, floats, _ in parts for f in floats),
+            tuple(k for _, _, seeds in parts for k in seeds),
+        )
+
+    @classmethod
+    def columns(cls, detail, ts, floats, seeds):
+        mode, shapes = detail
+        combine = _COMBINE[mode]
+        value = evaluate(shapes[0], ts, floats, seeds)
+        for shape in shapes[1:]:
+            value = combine(value, evaluate(shape, ts, floats, seeds))
+        return np.clip(value, 0.0, 1.0) if mode == "sum" else value
 
 
 @dataclass(frozen=True, eq=False)
-class Noisy:
+class Noisy(DemandPattern):
     """Clipped Gaussian noise, hashed from (key, stream, t), on a pattern."""
 
     pattern: DemandPattern
@@ -271,19 +315,19 @@ class Noisy:
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
 
-    def __call__(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        skey = np.asarray([stream_key(self.key, self.stream)], dtype=np.uint64)
-        return self.kernel(self.pattern(ts), normal(skey, ts), self.sigma)
+    def flatten(self) -> tuple:
+        shape, floats, seeds = flatten(self.pattern)
+        return (
+            (Noisy, shape),
+            (*floats, self.sigma),
+            (*seeds, stream_key(self.key, self.stream)),
+        )
 
-    @staticmethod
-    def kernel(values, z, sigma):
-        """``values`` plus ``sigma`` times standard normals ``z``, clipped."""
-        return np.clip(values + sigma * z, 0.0, 1.0)
-
-
-constant, diurnal, weekly, ramp = Constant, Diurnal, Weekly, Ramp
-bursty, spike_train, composite, with_noise = Bursty, SpikeTrain, Composite, Noisy
+    @classmethod
+    def columns(cls, inner, ts, floats, seeds):
+        values = evaluate(inner, ts, floats, seeds)
+        sigma, skey = next(floats), next(seeds)
+        return np.clip(values + sigma * normal(skey, ts), 0.0, 1.0)
 
 
 def anchored(pattern: DemandPattern, origin: float) -> DemandPattern:

@@ -73,25 +73,25 @@ class WorkloadProfile:
         """
         mean_level = float(np.clip(mean_level, 0.01, 0.99))
         if self.cpu_pattern_kind == "constant":
-            base = pat.constant(mean_level)
+            base = pat.Constant(mean_level)
         elif self.cpu_pattern_kind == "diurnal":
             swing = min(mean_level * 0.8, (1 - mean_level) * 0.9)
-            base = pat.composite(
+            base = pat.Composite(
                 [
-                    pat.diurnal(
+                    pat.Diurnal(
                         base=mean_level - swing * 0.5,
                         peak=mean_level + swing,
                         peak_hour=float(rng.uniform(8, 16)),
                         width_hours=float(rng.uniform(2.5, 5.0)),
                     ),
-                    pat.weekly(1.0, float(rng.uniform(0.5, 0.8))),
+                    pat.Weekly(1.0, float(rng.uniform(0.5, 0.8))),
                 ],
                 mode="product",
             )
         elif self.cpu_pattern_kind == "bursty":
             burst = min(1.0, mean_level * float(rng.uniform(3.0, 6.0)))
             prob = mean_level / burst if burst > 0 else 0.2
-            base = pat.bursty(
+            base = pat.Bursty(
                 base=mean_level * 0.3,
                 burst_level=burst,
                 burst_probability=float(np.clip(prob, 0.02, 0.9)),
@@ -101,12 +101,12 @@ class WorkloadProfile:
         elif self.cpu_pattern_kind == "ramp":
             drift = float(rng.uniform(-0.3, 0.5))
             end = float(np.clip(mean_level + drift, 0.02, 0.98))
-            base = pat.ramp(mean_level, end, duration=20 * pat.SECONDS_PER_DAY)
+            base = pat.Ramp(mean_level, end, duration=20 * pat.SECONDS_PER_DAY)
         elif self.cpu_pattern_kind == "spiky":
-            base = pat.composite(
+            base = pat.Composite(
                 [
-                    pat.constant(mean_level * 0.8),
-                    pat.spike_train(
+                    pat.Constant(mean_level * 0.8),
+                    pat.SpikeTrain(
                         base=0.0,
                         spike_level=min(1.0, mean_level + 0.4),
                         period=float(rng.uniform(0.5, 2.0)) * pat.SECONDS_PER_DAY,
@@ -118,7 +118,7 @@ class WorkloadProfile:
             )
         else:
             raise ValueError(f"unknown pattern kind: {self.cpu_pattern_kind}")
-        return pat.with_noise(base, sigma=0.03, key=key, stream=pat.CPU_NOISE)
+        return pat.Noisy(base, sigma=0.03, key=key, stream=pat.CPU_NOISE)
 
     def mem_pattern(
         self, mean_level: float, rng: np.random.Generator, key: int
@@ -129,10 +129,10 @@ class WorkloadProfile:
             # Slow memory growth: caches/heaps filling over days (§5.2).
             start = mean_level * float(rng.uniform(0.85, 0.98))
             end = min(0.99, mean_level * float(rng.uniform(1.0, 1.12)))
-            base = pat.ramp(start, end, duration=25 * pat.SECONDS_PER_DAY)
+            base = pat.Ramp(start, end, duration=25 * pat.SECONDS_PER_DAY)
         else:
-            base = pat.constant(mean_level)
-        return pat.with_noise(base, sigma=0.01, key=key, stream=pat.MEM_NOISE)
+            base = pat.Constant(mean_level)
+        return pat.Noisy(base, sigma=0.01, key=key, stream=pat.MEM_NOISE)
 
 
 #: The application classes named in §5.5.

@@ -1,14 +1,13 @@
 """Per-VM demand as parameter columns, evaluated for every VM at once.
 
-:class:`CompiledDemand` keeps one row of pattern parameters per VM --
-written on create or resize, freed on delete -- and evaluates all rows at
-``t`` in one numpy pass through the pattern kernels, bit-identical to each
-row's ``VMDemand.evaluate(np.asarray([t]))``.  Rows hold the shapes
-:class:`~repro.workloads.profiles.WorkloadProfile` builds, under noise:
-for CPU a constant or ramp, diurnal x weekly, bursts, or max(constant,
-spike train); for memory a constant or ramp.  Every row carries every CPU
-shape's parameters (neutral ones where unused); the pass computes each
-shape for every row and picks a row's own by its shape code.
+:class:`CompiledDemand` keeps one row per VM -- written on create or
+resize, freed on delete -- and evaluates all rows at ``t`` in one numpy
+pass per pattern shape, bit-identical to each row's
+``VMDemand.evaluate(np.asarray([t]))``.  Rows whose CPU (or memory)
+patterns share a :meth:`~repro.workloads.patterns.DemandPattern.flatten`
+shape share parameter columns, so every pattern built from
+:mod:`repro.workloads.patterns` has a layout; the built-in profiles make
+a handful of shapes.
 """
 
 from __future__ import annotations
@@ -20,49 +19,52 @@ import numpy as np
 from repro.workloads import patterns as pat
 from repro.workloads.demand import VMDemand
 
-#: CPU shape codes, in ``np.choose`` order.
-LEVEL, DIURNAL, BURSTY, SPIKY = range(4)
+
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """``array`` with zero columns appended up to ``size``."""
+    out = np.zeros((array.shape[0], size), dtype=array.dtype)
+    out[:, : array.shape[1]] = array
+    return out
 
 
-def _level(p) -> pat.Ramp | None:
-    """A constant or ramp as a ramp (a constant has equal ends)."""
-    if isinstance(p, pat.Constant):
-        return pat.Ramp(p.level, p.level, 1.0)
-    return p if isinstance(p, pat.Ramp) else None
+class _Group:
+    """Parameter columns, indexed by row, of the patterns of one shape."""
 
+    def __init__(self, shape: tuple, n_floats: int, n_seeds: int) -> None:
+        self.shape = shape
+        self.floats = np.zeros((n_floats, 0))
+        self.seeds = np.zeros((n_seeds, 0), dtype=np.uint64)
+        self.members: dict[int, None] = {}
+        self._index: np.ndarray | None = None
 
-#: Parameter slots, each holding the neutral pattern written into rows
-#: that do not use the slot (so every kernel stays finite on every row).
-_NEUTRAL = {
-    "level": pat.Ramp(0.0, 0.0, 1.0),
-    "diurnal": pat.Diurnal(0.0, 0.0, 0.0, 1.0),
-    "weekly": pat.Weekly(1.0, 1.0),
-    "bursts": pat.Bursty(0.0, 0.0, 0.0, key=0, correlation=1),
-    "floor": pat.Constant(0.0),
-    "spikes": pat.SpikeTrain(0.0, 0.0, 1.0, 1.0),
-    "mem": pat.Ramp(0.0, 0.0, 1.0),
-}
+    def write(self, row: int, floats: tuple, seeds: tuple) -> None:
+        if row >= self.floats.shape[1]:
+            size = max(2 * self.floats.shape[1], row + 1)
+            self.floats, self.seeds = _grown(self.floats, size), _grown(self.seeds, size)
+        self.floats[:, row] = floats
+        self.seeds[:, row] = seeds
+        self.members[row] = None
+        self._index = None
 
+    def drop(self, row: int) -> None:
+        if row in self.members:
+            del self.members[row]
+            self._index = None
 
-def _cpu_slots(p) -> tuple[int, dict]:
-    """(shape code, slot -> pattern) of one noise-free CPU shape."""
-    level = _level(p)
-    if level is not None:
-        return LEVEL, {"level": level}
-    if isinstance(p, pat.Bursty):
-        return BURSTY, {"bursts": p}
-    if isinstance(p, pat.Composite) and len(p.patterns) == 2:
-        a, b = p.patterns
-        shapes = (p.mode, type(a), type(b))
-        if shapes == ("product", pat.Diurnal, pat.Weekly):
-            return DIURNAL, {"diurnal": a, "weekly": b}
-        if shapes == ("max", pat.Constant, pat.SpikeTrain):
-            return SPIKY, {"floor": a, "spikes": b}
-    raise TypeError(f"no demand column layout for CPU pattern {p!r}")
+    def evaluate(self, ts: np.ndarray, out: np.ndarray) -> None:
+        """Write every member row's value at ``ts`` into ``out``."""
+        if not self.members:
+            return
+        index = self._index
+        if index is None:
+            index = self._index = np.fromiter(self.members, dtype=np.intp)
+        out[index] = pat.evaluate(
+            self.shape, ts, self.floats[:, index], self.seeds[:, index]
+        )
 
 
 class DemandColumns(NamedTuple):
-    """Every row's absolute demand at one timestamp (free rows included)."""
+    """Every row's absolute demand at one timestamp (free rows are zero)."""
 
     cpu_cores: np.ndarray
     memory_mb: np.ndarray
@@ -86,28 +88,15 @@ class CompiledDemand:
         self._version = 0
         self._cached: tuple[float, int, DemandColumns] | None = None
         self._capacity = 0
-        #: slot -> (kernel args, capacity) floats; "scale" holds CPU and
-        #: memory noise sigma, vcpus, ram_mb, network rate, disk_gb.
-        self._p: dict[str, np.ndarray] = {}
-        #: CPU noise, memory noise and burst hash seeds, (3, capacity).
-        self._keys = np.zeros((3, 0), dtype=np.uint64)
-        self._kind = np.zeros(0, dtype=np.intp)
+        #: vcpus, ram_mb, network rate and disk_gb of each row.
+        self._scale = np.zeros((4, 0))
+        #: CPU and memory pattern groups, by shape.
+        self._groups: tuple[dict[tuple, _Group], ...] = ({}, {})
         self._grow(capacity)
 
     def _grow(self, capacity: int) -> None:
-        old = self._capacity
-        for slot, neutral in {**_NEUTRAL, "scale": None}.items():
-            args = (0.0,) * 6 if neutral is None else neutral.args()
-            grown = np.repeat(np.asarray(args)[:, None], capacity, axis=1)
-            if old:
-                grown[:, :old] = self._p[slot]
-            self._p[slot] = grown
-        keys = np.zeros((3, capacity), dtype=np.uint64)
-        keys[:, :old] = self._keys
-        kind = np.zeros(capacity, dtype=np.intp)
-        kind[:old] = self._kind
-        self._keys, self._kind = keys, kind
-        self._free.extend(range(capacity - 1, old - 1, -1))
+        self._scale = _grown(self._scale, capacity)
+        self._free.extend(range(capacity - 1, self._capacity - 1, -1))
         self._capacity = capacity
 
     def get(self, vm_id: str) -> VMDemand | None:
@@ -115,24 +104,21 @@ class CompiledDemand:
 
     def set(self, vm_id: str, demand: VMDemand) -> None:
         """Register ``demand`` for ``vm_id`` and write its row."""
-        cpu, mem = demand.cpu_pattern, demand.mem_pattern
-        if not (isinstance(cpu, pat.Noisy) and isinstance(mem, pat.Noisy)):
-            raise TypeError("no demand column layout for un-noised patterns")
-        kind, slots = _cpu_slots(cpu.pattern)
-        slots["mem"] = _level(mem.pattern)
-        if slots["mem"] is None:
-            raise TypeError(f"no demand column layout for memory pattern {mem!r}")
+        flat = (pat.flatten(demand.cpu_pattern), pat.flatten(demand.mem_pattern))
         row = self.rows.get(vm_id)
         if row is None:
             if not self._free:
                 self._grow(2 * self._capacity)
             row = self.rows[vm_id] = self._free.pop()
-        for slot, neutral in _NEUTRAL.items():
-            self._p[slot][:, row] = slots.get(slot, neutral).args()
+        else:
+            self._release(row)
+        for groups, (shape, floats, seeds) in zip(self._groups, flat):
+            group = groups.get(shape)
+            if group is None:
+                group = groups[shape] = _Group(shape, len(floats), len(seeds))
+            group.write(row, floats, seeds)
         flavor = demand.flavor
-        self._p["scale"][:, row] = (
-            cpu.sigma,
-            mem.sigma,
+        self._scale[:, row] = (
             flavor.vcpus,
             flavor.ram_mb,
             # Same association order as VMDemand.evaluate's product.
@@ -141,40 +127,30 @@ class CompiledDemand:
             * flavor.vcpus,
             demand.disk_used_fraction * flavor.disk_gb,
         )
-        burst = slots.get("bursts")
-        self._keys[:, row] = (
-            pat.stream_key(cpu.key, cpu.stream),
-            pat.stream_key(mem.key, mem.stream),
-            0 if burst is None else pat.stream_key(burst.key, pat.BURSTS),
-        )
-        self._kind[row] = kind
         self._demands[vm_id] = demand
         self._version += 1
+
+    def _release(self, row: int) -> None:
+        for groups in self._groups:
+            for group in groups.values():
+                group.drop(row)
 
     def discard(self, vm_id: str) -> None:
         """Forget ``vm_id``'s demand; its row is reused by a later :meth:`set`."""
         if self._demands.pop(vm_id, None) is not None:
-            self._free.append(self.rows.pop(vm_id))
+            row = self.rows.pop(vm_id)
+            self._release(row)
+            self._free.append(row)
 
     def evaluate(self, t: float) -> DemandColumns:
-        """Every row's demand at ``t``, in one pass."""
+        """Every row's demand at ``t``, in one pass per pattern shape."""
         ts = np.asarray([t], dtype=float)
-        p = self._p
-        cpu = np.choose(
-            self._kind,
-            (
-                pat.Ramp.kernel(ts, *p["level"]),
-                pat.Diurnal.kernel(ts, *p["diurnal"])
-                * pat.Weekly.kernel(ts, *p["weekly"]),
-                pat.Bursty.kernel(ts, *p["bursts"], self._keys[2]),
-                np.maximum(p["floor"][0], pat.SpikeTrain.kernel(ts, *p["spikes"])),
-            ),
-        )
-        cpu_sigma, mem_sigma, vcpus, ram_mb, net_rate, disk_gb = p["scale"]
-        # Noise clips to [0, 1], so VMDemand.evaluate's second clip is a no-op.
-        z = pat.normal(self._keys[:2], ts)
-        cpu = pat.Noisy.kernel(cpu, z[0], cpu_sigma)
-        mem = pat.Noisy.kernel(pat.Ramp.kernel(ts, *p["mem"]), z[1], mem_sigma)
+        ratios = np.zeros((2, self._capacity))
+        for groups, out in zip(self._groups, ratios):
+            for group in groups.values():
+                group.evaluate(ts, out)
+        cpu, mem = np.clip(ratios, 0.0, 1.0)
+        vcpus, ram_mb, net_rate, disk_gb = self._scale
         net = net_rate * cpu
         return DemandColumns(cpu * vcpus, mem * ram_mb, net, net * 0.8, disk_gb.copy())
 

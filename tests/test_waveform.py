@@ -173,19 +173,46 @@ def test_weekly_exact_on_day_boundaries():
             )
 
 
-def test_unknown_pattern_has_no_column_layout():
+def test_any_pattern_shape_has_a_column_layout():
+    """Shapes no profile builds -- a noise-free clipped sum, a diurnal
+    peaking above 1 -- evaluate exactly beside the profiles' shapes."""
+    cpu = patterns.Composite(
+        [
+            patterns.Ramp(0.1, 0.6, duration=5 * 86_400.0),
+            patterns.SpikeTrain(0.0, 0.3, period=7200.0, spike_width=900.0),
+            patterns.Bursty(0.0, 0.2, burst_probability=0.4, key=9),
+        ],
+        mode="sum",
+    )
     demand = _demand(3, "g_c8_m32", "general")
-    custom = patterns.with_noise(lambda ts: np.full(len(ts), 0.5), 0.01, key=1)
+    demand = type(demand)(
+        **{**vars(demand), "cpu_pattern": cpu, "mem_pattern": patterns.Diurnal(0.2, 1.3)}
+    ).anchored(3600.0)
+    others = _population(6)
     compiled = CompiledDemand()
-    with pytest.raises(TypeError, match="column layout"):
+    for vm_id, other in others.items():
+        compiled.set(vm_id, other)
+    compiled.set("custom", demand)
+    for i in range(48):
+        t = 1800.0 * i
+        columns = compiled.evaluate(t)
+        for vm_id, d in {**others, "custom": demand}.items():
+            assert _row(columns, compiled, vm_id) == _reference_tuple(d, t)
+
+
+def test_plain_callables_are_rejected():
+    demand = _demand(3, "g_c8_m32", "general")
+    custom = patterns.Noisy(lambda ts: np.full(len(ts), 0.5), 0.01, key=1)
+    compiled = CompiledDemand()
+    with pytest.raises(TypeError, match="not a DemandPattern"):
         compiled.set("vm", type(demand)(**{**vars(demand), "cpu_pattern": custom}))
     assert not compiled.rows
 
 
 def test_ramp_moves_between_single_timestamp_evaluations():
     """A ramp measured from the VM's creation progresses tick by tick."""
-    ramp = patterns.with_noise(
-        patterns.ramp(0.2, 0.8, duration=10 * 86_400.0), sigma=0.0, key=1
+    ramp = patterns.Noisy(
+        patterns.Ramp(0.2, 0.8, duration=10 * 86_400.0), sigma=0.0, key=1
     )
     demand = _demand(3, "g_c8_m32", "k8s_infra")
     demand = type(demand)(**{**vars(demand), "cpu_pattern": ramp}).anchored(86_400.0)
