@@ -259,31 +259,47 @@ def _assign_migrations(
     config: GeneratorConfig,
     rng: np.random.Generator,
 ) -> None:
-    """Give ~1% of long-running VMs one intra-BB migration in the window.
+    """Give ~1% of long-running VMs one intra-BB migration in the window,
+    plus each DC's memory-heaviest long-running VM one to the peer with
+    the least allocated memory (a host rebalance).
 
-    These cause the abrupt purple→yellow memory shifts of Fig 10 and feed
-    the dataset's migration events.
+    The heavy moves make the abrupt purple→yellow memory shifts of Fig 10
+    in every DC's heatmap; all feed the dataset's migration events.
     """
-    bb_nodes = {
-        bb.bb_id: list(bb.nodes) for bb in region.iter_building_blocks()
-    }
+    bbs = {bb.bb_id: bb for bb in region.iter_building_blocks()}
+    heaviest: dict[str, VMRecord] = {}
     for record in placed:
         if record.node_id is None or record.bb_id is None:
             continue
         ends = record.deleted_at if record.deleted_at is not None else config.window_end
-        alive_span = ends - max(record.created_at, config.window_start)
-        if alive_span < 2 * 86_400 or rng.random() > 0.01:
+        if ends - max(record.created_at, config.window_start) < 2 * 86_400:
             continue
-        peers = [n for n in bb_nodes[record.bb_id] if n != record.node_id]
-        if not peers:
+        top = heaviest.get(record.dc_id)
+        if top is None or record.flavor.ram_mb > top.flavor.ram_mb:
+            heaviest[record.dc_id] = record
+        if rng.random() > 0.01:
             continue
-        when = float(
-            rng.uniform(
-                max(record.created_at, config.window_start) + 3_600, ends - 3_600
-            )
-        )
-        target = peers[int(rng.integers(0, len(peers)))]
-        record.migrations.append((when, record.node_id, target))
+        peers = [n for n in bbs[record.bb_id].nodes if n != record.node_id]
+        if peers:
+            when = _in_window(record, ends, config, rng)
+            target = peers[int(rng.integers(0, len(peers)))]
+            record.migrations.append((when, record.node_id, target))
+    for record in heaviest.values():
+        peers = [n for n in bbs[record.bb_id].iter_nodes() if n.node_id != record.node_id]
+        if peers and not record.migrations:
+            ends = record.deleted_at if record.deleted_at is not None else config.window_end
+            when = _in_window(record, ends, config, rng)
+            target = min(peers, key=lambda n: n.allocated().memory_mb)
+            record.migrations.append((when, record.node_id, target.node_id))
+
+
+def _in_window(
+    record: VMRecord, ends: float, config: GeneratorConfig, rng: np.random.Generator
+) -> float:
+    """A random instant at least an hour inside ``record``'s in-window life."""
+    return float(
+        rng.uniform(max(record.created_at, config.window_start) + 3_600, ends - 3_600)
+    )
 
 
 def _assign_resizes(
@@ -322,12 +338,7 @@ def _assign_resizes(
         ]
         if not bigger:
             continue
-        when = float(
-            rng.uniform(
-                max(record.created_at, config.window_start) + 3_600, ends - 3_600
-            )
-        )
-        record.resizes.append((when, record.flavor, bigger[0]))
+        record.resizes.append((_in_window(record, ends, config, rng), record.flavor, bigger[0]))
 
 
 def _select_hotspots(
@@ -352,7 +363,16 @@ def _select_hotspots(
     if not general_nodes:
         return {}
     # Prefer the busiest nodes: contention needs resident demand to amplify.
+    # Each DC's busiest node goes first, so every DC's heatmap (Fig 5)
+    # shows a consistently hot subset; the fleet's busiest runs hottest.
     general_nodes.sort(key=lambda n: -n.allocated().vcpus)
+    busiest: dict[str, ComputeNode] = {}
+    for node in general_nodes:
+        busiest.setdefault(node.datacenter, node)
+    general_nodes = [
+        *busiest.values(),
+        *(n for n in general_nodes if busiest[n.datacenter] is not n),
+    ]
     total_nodes = region.node_count
     count = max(2, int(round(len(general_nodes) * config.hotspot_fraction)))
     # Keep hotspots below ~4% of the fleet so the cross-node p95 stays low
