@@ -13,7 +13,7 @@ from a generator, and ramps carry an explicit ``origin``.  Patterns are
 frozen dataclasses compared by identity.  :meth:`DemandPattern.flatten`
 splits one into a hashable shape and its parameters; :func:`evaluate`
 computes many same-shape patterns from parameter columns, and a pattern's
-own call is that with one-element columns, so
+own call is that with one value per parameter, so
 :mod:`repro.workloads.waveform`'s population pass and one pattern on its
 own agree bit for bit.
 """
@@ -48,18 +48,19 @@ _G, _M1, _M2, _S30, _S27, _S31 = (
 def _mix(x: np.ndarray) -> np.ndarray:
     """splitmix64 on a uint64 array (array arithmetic wraps silently)."""
     z = x + _G
-    z ^= z >> _S30
-    z *= _M1
-    z ^= z >> _S27
-    z *= _M2
-    z ^= z >> _S31
-    return z
+    z = (z ^ (z >> _S30)) * _M1
+    z = (z ^ (z >> _S27)) * _M2
+    return z ^ (z >> _S31)
+
+
+@functools.cache
+def _stream_mix(stream: int) -> np.ndarray:
+    return _mix(np.asarray([stream], dtype=np.uint64))
 
 
 def stream_key(key: int, stream: int) -> int:
     """The hash seed of ``key``'s ``stream``: a 64-bit int."""
-    mixed = _mix(np.asarray([stream], dtype=np.uint64))
-    return int(_mix(np.asarray([key], dtype=np.uint64) ^ mixed)[0])
+    return int(_mix(np.uint64(key) ^ _stream_mix(stream))[0])
 
 
 def _hash(skey, values: np.ndarray) -> np.ndarray:
@@ -109,8 +110,8 @@ class DemandPattern:
         return evaluate(
             shape,
             np.asarray(ts, dtype=float),
-            np.asarray(floats, dtype=float).reshape(-1, 1),
-            np.asarray(seeds, dtype=np.uint64).reshape(-1, 1),
+            np.asarray(floats, dtype=float),
+            np.asarray(seeds, dtype=np.uint64),
         )
 
 
