@@ -2,7 +2,9 @@
 
 The public SAP dataset is distributed as anonymised CSV telemetry; these
 helpers read and write that interchange format.  Numeric columns are
-type-inferred (int, then float, else string).
+type-inferred (int, then float, else string).  A string column whose
+cells would all read back as numbers (``"0E0"``, ``"-0"``) is written
+with ``:str`` appended to its header name, which pins it to strings.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import csv
 import io
 import re
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -18,6 +21,9 @@ import numpy as np
 #: strings so anonymised identifiers round-trip losslessly.  nan/inf are
 #: included because missing lifecycle timestamps serialise as "nan".
 _FLOAT_RE = re.compile(r"-?((0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?|nan|inf)")
+
+#: Header suffix marking a string column whose cells look numeric.
+_STR_TAG = ":str"
 
 from repro.frame.frame import Frame
 
@@ -27,22 +33,28 @@ def write_csv(frame: Frame, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(frame.names)
-        columns = [frame[name] for name in frame.names]
-        for i in range(len(frame)):
-            writer.writerow([_render(col[i]) for col in columns])
+        csv.writer(fh).writerows(_rows(frame))
 
 
 def dumps_csv(frame: Frame) -> str:
     """Render ``frame`` as a CSV string (header + rows)."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(frame.names)
-    columns = [frame[name] for name in frame.names]
-    for i in range(len(frame)):
-        writer.writerow([_render(col[i]) for col in columns])
+    csv.writer(buf).writerows(_rows(frame))
     return buf.getvalue()
+
+
+def _rows(frame: Frame) -> Iterator[list[str]]:
+    """Header plus rendered rows, tagging strings that would read as numbers."""
+    names = list(frame.names)
+    columns = [frame[name] for name in names]
+    for i, col in enumerate(columns):
+        if len(col) and all(isinstance(v, str) for v in col):
+            cells = [_render(v) for v in col]
+            if names[i].endswith(_STR_TAG) or _infer(cells).dtype != object:
+                names[i] += _STR_TAG
+    yield names
+    for row in zip(*columns):
+        yield [_render(v) for v in row]
 
 
 def read_csv(path: str | Path) -> Frame:
@@ -64,7 +76,14 @@ def loads_csv(text: str) -> Frame:
             continue
         for name, value in zip(header, row):
             raw[name].append(value)
-    return Frame({name: _infer(values) for name, values in raw.items()})
+    return Frame(
+        {
+            name.removesuffix(_STR_TAG): np.asarray(values, dtype=object)
+            if name.endswith(_STR_TAG)
+            else _infer(values)
+            for name, values in raw.items()
+        }
+    )
 
 
 def _render(value) -> str:

@@ -17,17 +17,21 @@ from repro.infrastructure.capacity import Capacity, OvercommitPolicy
 from repro.infrastructure.vm import VM
 
 
-#: Monotonic counter bumped by every node-level mutation that can affect
-#: scheduling: VM add/remove and the failure/maintenance flags.  The
-#: scheduler's HostStateIndex compares it across queries to skip its
-#: fingerprint scan entirely when no node changed — O(1) instead of
-#: O(nodes) on the scheduling hot path.
-NODE_MUTATION_EPOCH = 0
+class NodeListeners(list):
+    """Callbacks ``listener(event, node, vm)`` for one block's node events.
+
+    ``event`` is ``"add"`` or ``"remove"`` (with the VM), ``"health"`` (a
+    ``failed``/``maintenance``/``quarantined`` write) or ``"node"`` (a new
+    member; ``vm`` is None for both).  A deep copy of a node or building
+    block starts with no listeners: a snapshot must not feed the live
+    subscribers, nor drag them into the copy.
+    """
+
+    def __deepcopy__(self, memo) -> "NodeListeners":
+        return NodeListeners()
 
 
-def _bump_node_epoch() -> None:
-    global NODE_MUTATION_EPOCH
-    NODE_MUTATION_EPOCH += 1
+_HEALTH_FLAGS = frozenset({"failed", "maintenance", "quarantined"})
 
 
 @dataclass
@@ -41,10 +45,17 @@ class ComputeNode:
 
     node_id: str
     physical: Capacity
+    #: Shared with the owning building block once the node joins one (see
+    #: :meth:`BuildingBlock.add_node`); declared ahead of the health flags
+    #: so it exists when ``__init__`` assigns them.
+    listeners: NodeListeners = field(
+        default_factory=NodeListeners, init=False, repr=False, compare=False
+    )
     building_block: str = ""
     datacenter: str = ""
     az: str = ""
-    vms: dict[str, VM] = field(default_factory=dict)
+    #: Resident VMs; they join and leave only through add_vm/remove_vm.
+    vms: dict[str, VM] = field(default_factory=dict, init=False)
     maintenance: bool = False
     #: Hard failure (hypervisor down): resident VMs must be evacuated and no
     #: new placements may land here until recovery clears the flag.
@@ -53,29 +64,27 @@ class ComputeNode:
     #: flap (fail/recover oscillation).  A quarantined node keeps its
     #: resident VMs but accepts no new placements until re-admitted.
     quarantined: bool = False
-    #: Bumped by add_vm/remove_vm; part of the allocated() cache guard.
-    _vm_epoch: int = field(default=0, init=False, repr=False, compare=False)
-    #: (vm_epoch, vms-dict ref, len, Capacity) of the last allocated() sum,
-    #: or None.  The dict-identity + length guards catch mutations that
-    #: bypass add_vm/remove_vm (e.g. the verify harness forking ``vms`` to
-    #: inject a ghost VM), so a stale sum can never be served to a caller
-    #: that would otherwise re-count the registry.
-    _alloc_cache: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
+    #: Running sum of resident VMs' requests, kept by add_vm/remove_vm.
+    #: Flavor sizes are integer-valued floats, so the sum stays exact.
+    _allocated: Capacity = field(
+        default_factory=Capacity, init=False, repr=False, compare=False
     )
-    #: (vm_epoch, vms-dict ref, len, policy ref, physical ref, Capacity) of
-    #: the last free() result: the allocated() guard plus its two inputs.
-    _free_cache: tuple | None = field(
+    #: tenant -> resident VM count, kept by add_vm/remove_vm.
+    tenant_counts: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: (policy, allocated, result) of the last free() call.
+    _free_memo: tuple | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __setattr__(self, name: str, value) -> None:
-        # Flipping a health flag must invalidate any scheduler-side cache;
-        # writes to these fields are rare, so the hook costs nothing
-        # where it matters.
-        if name == "failed" or name == "maintenance" or name == "quarantined":
-            _bump_node_epoch()
         object.__setattr__(self, name, value)
+        # A health flag flip changes what schedulers may place here; the
+        # writes are rare, so the hook costs nothing where it matters.
+        if name in _HEALTH_FLAGS:
+            for listener in self.listeners:
+                listener("health", self, None)
 
     @property
     def healthy(self) -> bool:
@@ -83,45 +92,18 @@ class ComputeNode:
         return not self.maintenance and not self.failed and not self.quarantined
 
     def allocated(self) -> Capacity:
-        """Sum of resources requested by resident VMs (cached between
-        mutations; any add/remove or registry swap recomputes)."""
-        vms = self.vms
-        cache = self._alloc_cache
-        if (
-            cache is not None
-            and cache[0] == self._vm_epoch
-            and cache[1] is vms
-            and cache[2] == len(vms)
-        ):
-            return cache[3]
-        total = Capacity()
-        for vm in vms.values():
-            total = total + vm.requested()
-        object.__setattr__(
-            self, "_alloc_cache", (self._vm_epoch, vms, len(vms), total)
-        )
-        return total
+        """Sum of resources requested by resident VMs."""
+        return self._allocated
 
     def free(self, policy: OvercommitPolicy) -> Capacity:
-        """Allocatable-minus-allocated capacity under ``policy`` (cached
-        under the allocated() guard, per policy and physical object)."""
-        vms = self.vms
-        cache = self._free_cache
-        if (
-            cache is not None
-            and cache[0] == self._vm_epoch
-            and cache[1] is vms
-            and cache[2] == len(vms)
-            and cache[3] is policy
-            and cache[4] is self.physical
-        ):
-            return cache[5]
-        free = policy.allocatable(self.physical) - self.allocated()
-        object.__setattr__(
-            self,
-            "_free_cache",
-            (self._vm_epoch, vms, len(vms), policy, self.physical, free),
-        )
+        """Allocatable-minus-allocated capacity under ``policy`` (memoised
+        on the policy and the running total; node hardware is immutable)."""
+        allocated = self._allocated
+        memo = self._free_memo
+        if memo is not None and memo[0] is policy and memo[1] is allocated:
+            return memo[2]
+        free = policy.allocatable(self.physical) - allocated
+        object.__setattr__(self, "_free_memo", (policy, allocated, free))
         return free
 
     def can_host(self, vm: VM, policy: OvercommitPolicy) -> bool:
@@ -136,8 +118,11 @@ class ComputeNode:
             raise ValueError(f"VM {vm.vm_id} already on node {self.node_id}")
         self.vms[vm.vm_id] = vm
         vm.node_id = self.node_id
-        object.__setattr__(self, "_vm_epoch", self._vm_epoch + 1)
-        _bump_node_epoch()
+        object.__setattr__(self, "_allocated", self._allocated + vm.requested())
+        counts = self.tenant_counts
+        counts[vm.tenant] = counts.get(vm.tenant, 0) + 1
+        for listener in self.listeners:
+            listener("add", self, vm)
 
     def remove_vm(self, vm_id: str) -> VM:
         """Remove and return a resident VM; clears its ``node_id``."""
@@ -146,8 +131,17 @@ class ComputeNode:
         except KeyError:
             raise KeyError(f"VM {vm_id} not on node {self.node_id}") from None
         vm.node_id = None
-        object.__setattr__(self, "_vm_epoch", self._vm_epoch + 1)
-        _bump_node_epoch()
+        object.__setattr__(
+            self,
+            "_allocated",
+            self._allocated - vm.requested() if self.vms else Capacity(),
+        )
+        counts = self.tenant_counts
+        counts[vm.tenant] -= 1
+        if not counts[vm.tenant]:
+            del counts[vm.tenant]
+        for listener in self.listeners:
+            listener("remove", self, vm)
         return vm
 
     @property
@@ -173,6 +167,10 @@ class BuildingBlock:
     aggregate_class: str = ""
     #: Placement policy applied inside/onto this BB: "spread" or "pack".
     policy: str = "spread"
+    #: Subscribers to every member node's events (shared with the nodes).
+    listeners: NodeListeners = field(
+        default_factory=NodeListeners, init=False, repr=False, compare=False
+    )
     #: (nodes-dict ref, len, Capacity) memo of physical(); node hardware is
     #: immutable, so the sum only changes when the member set does.
     _physical_cache: tuple | None = field(
@@ -186,8 +184,10 @@ class BuildingBlock:
         node.building_block = self.bb_id
         node.datacenter = self.datacenter
         node.az = self.az
+        node.listeners = self.listeners
         self.nodes[node.node_id] = node
-        _bump_node_epoch()
+        for listener in self.listeners:
+            listener("node", node, None)
 
     def iter_nodes(self) -> Iterator[ComputeNode]:
         return iter(self.nodes.values())

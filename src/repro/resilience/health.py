@@ -6,7 +6,7 @@ a fixed cadence, logs transitions, and declares a node *flapping* when it
 oscillates too often inside the detection window.  Flapping nodes are
 **quarantined**: fenced from new placements (``ComputeNode.quarantined``,
 which the scheduler's node selection, the QuarantineFilter, and the
-``HostStateIndex`` fingerprint all respect) while keeping any resident
+``HostStateIndex`` node listener all respect) while keeping any resident
 VMs — quarantine is a fence, not an eviction.
 
 The quarantine lifecycle is ``HEALTHY → QUARANTINED → PROBATION →
@@ -80,6 +80,10 @@ class HostHealthService:
         #: Building blocks currently quarantined as a unit; the scheduler's
         #: QuarantineFilter consults this set.
         self.quarantined_bbs: set[str] = set()
+        #: Quarantined scheduling targets: fenced BBs plus fenced nodes, so
+        #: the QuarantineFilter works for the BB-level FilterScheduler and
+        #: the node-level holistic scheduler alike.
+        self.quarantined_hosts: set[str] = set()
         #: Resident-VM snapshot taken at quarantine time, per node — the
         #: invariant checker asserts no additions while quarantined.
         self.quarantine_residents: dict[str, frozenset[str]] = {}
@@ -95,20 +99,6 @@ class HostHealthService:
     def attach_scheduler(self, scheduler: Any) -> None:
         """Give the service a scheduler to invalidate on quarantine flips."""
         self.scheduler = scheduler
-
-    @property
-    def quarantined_hosts(self) -> frozenset[str]:
-        """Quarantined scheduling targets: fenced BBs plus fenced nodes.
-
-        Covers both granularities so the QuarantineFilter works for the
-        BB-level FilterScheduler and the node-level holistic scheduler.
-        """
-        nodes = {
-            node_id
-            for node_id, rec in self._records.items()
-            if rec.state is HealthState.QUARANTINED
-        }
-        return frozenset(nodes) | frozenset(self.quarantined_bbs)
 
     def state_of(self, node_id: str) -> HealthState:
         return self._records[node_id].state
@@ -164,6 +154,7 @@ class HostHealthService:
         rec.epoch += 1
         rec.transitions.clear()
         node.quarantined = True
+        self.quarantined_hosts.add(node.node_id)
         self.quarantine_residents[node.node_id] = frozenset(node.vms)
         self.report.quarantines += 1
         self.report.quarantined_nodes.append(node.node_id)
@@ -210,6 +201,7 @@ class HostHealthService:
                  "epoch": epoch}
             )
         node.quarantined = False
+        self.quarantined_hosts.discard(node_id)
         self.quarantine_residents.pop(node_id, None)
         rec.state = HealthState.PROBATION
         rec.probation_until = engine.now + self.config.probation_s
@@ -227,9 +219,11 @@ class HostHealthService:
         if fraction >= self.config.bb_quarantine_fraction:
             if not was:
                 self.quarantined_bbs.add(bb_id)
+                self.quarantined_hosts.add(bb_id)
                 self.report.bb_quarantines += 1
         elif was:
             self.quarantined_bbs.discard(bb_id)
+            self.quarantined_hosts.discard(bb_id)
         if self.scheduler is not None:
             invalidate = getattr(self.scheduler, "invalidate_host", None)
             if invalidate is not None:
@@ -273,6 +267,11 @@ class HostHealthService:
             rec.probation_until = float(saved["probation_until"])
             rec.epoch = int(saved["epoch"])
         self.quarantined_bbs = set(state["quarantined_bbs"])
+        self.quarantined_hosts = self.quarantined_bbs | {
+            node_id
+            for node_id, rec in self._records.items()
+            if rec.state is HealthState.QUARANTINED
+        }
         self.quarantine_residents = {
             node_id: frozenset(vms)
             for node_id, vms in state["quarantine_residents"].items()

@@ -4,17 +4,15 @@ The legacy pipeline rebuilds every building block's :class:`HostState`
 from scratch for each request — O(building blocks × (nodes + VMs)) per
 placement.  At paper scale (~1,800 hypervisors, ~48k VMs) that rescan
 dominates the run.  The index keeps one long-lived ``HostState`` per
-building block and maintains it incrementally:
+building block and keeps it current from events, O(1) each:
 
 * a :class:`~repro.scheduler.placement.PlacementService` listener updates
   free capacities the instant a claim / release / move lands — exactly,
-  since free capacity derives from the provider alone, no rebuild needed;
-* a cheap *fingerprint scan* — ``(vm_count, any_healthy)`` per building
-  block, one pass over the node registries — catches mutations that do
-  not flow through placement (host failures, maintenance, node-level VM
-  bookkeeping).  The scan itself is skipped in O(1) whenever
-  :data:`repro.infrastructure.hierarchy.NODE_MUTATION_EPOCH` shows no
-  node changed since the last query;
+  since free capacity derives from the provider alone;
+* a node listener (:class:`~repro.infrastructure.hierarchy.NodeListeners`)
+  updates ``num_instances`` and ``tenants`` on every VM add / remove, and
+  marks the block for a from-truth rebuild when a node's health flag is
+  written or a node joins;
 * free-vCPU *buckets* (log₂-spaced) give a constant-time superset of the
   hosts that can possibly satisfy a request's vCPU demand, so capacity
   filters start from a pre-narrowed candidate list.
@@ -23,7 +21,8 @@ Invariants (checked by the property tests):
 
 1. After ``refresh()``, every cached state equals
    ``HostState.from_building_block(bb, placement)`` field-for-field
-   (modulo ``metadata``, which schedulers may decorate in place).
+   (modulo ``metadata``, which schedulers may decorate in place), as long
+   as VMs join and leave nodes only through ``add_vm`` / ``remove_vm``.
 2. ``bucket(free) >= bucket(v)`` for every host with ``free >= v``, so
    ``candidates(v)`` is always a superset of the exact feasible set —
    pre-selection can never drop a host the filters would have kept.
@@ -31,8 +30,8 @@ Invariants (checked by the property tests):
 
 from __future__ import annotations
 
-from repro.infrastructure import hierarchy
-from repro.infrastructure.hierarchy import BuildingBlock, Region
+from repro.infrastructure.hierarchy import BuildingBlock, ComputeNode, Region
+from repro.infrastructure.vm import VM
 from repro.scheduler.hoststate import HostState
 from repro.scheduler.placement import (
     DISK_GB,
@@ -59,24 +58,18 @@ class HostStateIndex:
         }
         self._order: list[str] = list(self._bbs)
         self._states: dict[str, HostState] = {}
-        #: bb_id -> (vm_count, any_healthy) at last rebuild
-        self._fingerprints: dict[str, tuple[int, bool]] = {}
         self._dirty: set[str] = set(self._bbs)
         self._buckets: dict[int, set[str]] = {}
         self._bucket_of: dict[str, int] = {}
-        #: Scan accelerators, refreshed on rebuild: the node tuple and the
-        #: *live* per-node VM dicts (len() on them always reflects current
-        #: occupancy — nodes mutate these dicts in place, never replace them).
-        self._scan_nodes: dict[str, tuple] = {}
-        self._scan_vms: dict[str, list[dict]] = {}
-        #: Last hierarchy.NODE_MUTATION_EPOCH the fingerprint scan ran at;
-        #: -1 forces the first scan.
-        self._seen_epoch = -1
         placement.add_listener(self._on_placement_event)
+        for bb in self._bbs.values():
+            bb.listeners.append(self._on_node_event)
 
     def close(self) -> None:
-        """Unsubscribe from placement events (index becomes inert)."""
+        """Unsubscribe from placement and node events (index becomes inert)."""
         self.placement.remove_listener(self._on_placement_event)
+        for bb in self._bbs.values():
+            bb.listeners.remove(self._on_node_event)
 
     # -- incremental maintenance ------------------------------------------------
 
@@ -86,15 +79,9 @@ class HostStateIndex:
         if event == "remove":
             self._discard(provider_id)
             return
-        # Fast path: free capacities track the provider immediately and
-        # exactly (they derive from nothing else).  The other fields
-        # (tenants, num_instances, enabled) change only through node-level
-        # mutations, which the fingerprint scan in :meth:`refresh` catches —
-        # so a claim/release does NOT need a full rebuild.
         state = self._states.get(provider_id)
         if state is None:
-            self._dirty.add(provider_id)
-            return
+            return  # not built yet: the pending rebuild reads the provider
         try:
             provider = self.placement.provider(provider_id)
         except AllocationError:
@@ -104,67 +91,53 @@ class HostStateIndex:
         state.free_disk_gb = provider.free(DISK_GB)
         self._place_in_bucket(provider_id, state.free_vcpus)
 
+    def _on_node_event(self, event: str, node: ComputeNode, vm: VM | None) -> None:
+        bb_id = node.building_block
+        if bb_id in self._dirty:
+            return  # the pending rebuild reads the truth
+        state = self._states[bb_id]
+        if event == "add":
+            state.num_instances += 1
+            if vm.tenant not in state.tenants:
+                state.tenants = state.tenants | {vm.tenant}
+        elif event == "remove":
+            state.num_instances -= 1
+            tenant = vm.tenant
+            if tenant not in node.tenant_counts and not any(
+                tenant in n.tenant_counts for n in self._bbs[bb_id].nodes.values()
+            ):
+                state.tenants = state.tenants - {tenant}
+        else:
+            self._dirty.add(bb_id)
+
     def invalidate(self, host_id: str) -> None:
         """Force a from-scratch rebuild of one building block's state."""
         if host_id in self._bbs:
             self._dirty.add(host_id)
 
     def refresh(self) -> None:
-        """Bring every cached state up to date (fingerprint scan + rebuilds)."""
+        """Rebuild the building blocks marked dirty since the last call."""
         dirty = self._dirty
-        epoch = hierarchy.NODE_MUTATION_EPOCH
-        if epoch != self._seen_epoch:
-            self._seen_epoch = epoch
-            self._fingerprint_scan(dirty)
         if dirty:
             for bb_id in dirty:
                 self._rebuild_one(bb_id)
             dirty.clear()
 
-    def _fingerprint_scan(self, dirty: set[str]) -> None:
-        """Mark building blocks whose node-level view drifted as dirty."""
-        fingerprints = self._fingerprints
-        scan_nodes = self._scan_nodes
-        scan_vms = self._scan_vms
-        for bb_id, bb in self._bbs.items():
-            if bb_id in dirty:
-                continue
-            # O(nodes) with a tiny constant: C-level sum over the cached
-            # live VM dicts, short-circuiting any() on the raw flags (skips
-            # per-node ``healthy`` property-call overhead).  Node membership
-            # changes are caught by the length check.
-            nodes = scan_nodes[bb_id]
-            if len(nodes) != len(bb.nodes):
-                dirty.add(bb_id)
-                continue
-            vm_count = sum(map(len, scan_vms[bb_id]))
-            healthy = any(
-                not (n.maintenance or n.failed or n.quarantined) for n in nodes
-            )
-            if fingerprints.get(bb_id) != (vm_count, healthy):
-                dirty.add(bb_id)
-
     def _rebuild_one(self, bb_id: str) -> None:
-        bb = self._bbs[bb_id]
         old = self._states.get(bb_id)
-        state = HostState.from_building_block(bb, self.placement)
+        state = HostState.from_building_block(self._bbs[bb_id], self.placement)
         if old is not None and old.metadata:
             # Preserve scheduler-side decorations (e.g. churn class) the
             # way a fresh from-scratch rebuild by the caller would re-stamp.
             state.metadata.update(old.metadata)
         self._states[bb_id] = state
-        self._fingerprints[bb_id] = (bb.vm_count, state.enabled)
-        nodes = tuple(bb.nodes.values())
-        self._scan_nodes[bb_id] = nodes
-        self._scan_vms[bb_id] = [n.vms for n in nodes]
         self._place_in_bucket(bb_id, state.free_vcpus)
 
     def _discard(self, bb_id: str) -> None:
-        self._bbs.pop(bb_id, None)
+        bb = self._bbs.pop(bb_id, None)
+        if bb is not None:
+            bb.listeners.remove(self._on_node_event)
         self._states.pop(bb_id, None)
-        self._fingerprints.pop(bb_id, None)
-        self._scan_nodes.pop(bb_id, None)
-        self._scan_vms.pop(bb_id, None)
         self._dirty.discard(bb_id)
         if bb_id in self._order:
             self._order.remove(bb_id)

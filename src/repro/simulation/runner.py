@@ -68,6 +68,7 @@ from repro.simulation.events import (
     VM_RESIZE,
 )
 from repro.simulation.hostsched import HostCpuModel
+from repro.simulation.live import LiveVMs
 from repro.telemetry.exporters import NodeUsage, NovaExporter, VropsExporter
 from repro.telemetry.store import MetricStore
 from repro.telemetry.timeseries import STALE
@@ -204,6 +205,14 @@ class RegionSimulation:
                 f"unknown scheduler_factory {self.config.scheduler_factory!r}"
             )
         self.catalog = catalog or default_catalog()
+        # Imported here: the datagen package is heavy and a simulation
+        # needs nothing else from it.
+        from repro.datagen.population import FLAVOR_MIX
+
+        mix = [(n, w) for n, w in FLAVOR_MIX if w > 0 and n in self.catalog]
+        self._arrival_flavors = [self.catalog.get(n) for n, _ in mix]
+        weights = np.asarray([w for _, w in mix])
+        self._arrival_p = weights / weights.sum()
         self.store = MetricStore()
         self.vrops = VropsExporter()
         self.nova_exporter = NovaExporter()
@@ -275,6 +284,10 @@ class RegionSimulation:
             self.engine.on(PARTITION_END, self._handle_partition_end)
 
         self.vms: dict[str, VM] = {}
+        #: The VMs resident on a node, in creation order: resizes draw here.
+        self.live = LiveVMs()
+        for bb in self.region.iter_building_blocks():
+            bb.listeners.append(self.live.on_node_event)
         #: Every live VM's demand model and its parameter row; the scrape
         #: and DRS read one evaluation of all rows per timestamp.
         self.demands = CompiledDemand()
@@ -484,10 +497,9 @@ class RegionSimulation:
         Nova resizes re-run the scheduler; the VM may land on a different
         compute host.  On failure the original allocation is restored.
         """
-        candidates = [vm for vm in self.vms.values() if vm.alive]
-        if not candidates:
+        if not self.live:
             return
-        vm = candidates[int(self.rng.integers(0, len(candidates)))]
+        vm = self.live.pick(int(self.rng.integers(0, len(self.live))))
         bigger = sorted(
             (
                 f
@@ -773,12 +785,8 @@ class RegionSimulation:
     # -- helpers ------------------------------------------------------------------
 
     def _pick_flavor(self):
-        from repro.datagen.population import FLAVOR_MIX
-
-        names = [n for n, w in FLAVOR_MIX if w > 0 and n in self.catalog]
-        weights = np.asarray([w for n, w in FLAVOR_MIX if w > 0 and n in self.catalog])
-        idx = self.rng.choice(len(names), p=weights / weights.sum())
-        return self.catalog.get(names[int(idx)])
+        idx = self.rng.choice(len(self._arrival_flavors), p=self._arrival_p)
+        return self._arrival_flavors[int(idx)]
 
     def _pick_node(self, bb: BuildingBlock, flavor) -> ComputeNode | None:
         requested = flavor.requested()

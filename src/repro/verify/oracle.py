@@ -181,30 +181,18 @@ class ReplayOutcome:
     index_mismatches: list[Mismatch] = field(default_factory=list)
 
 
-def desync_index(
-    region: Region, placement: PlacementService, touched: frozenset[str]
-) -> bool:
+def desync_index(region: Region, placement: PlacementService) -> None:
     """Deliberately desync the scheduler cache: ghost-write VM registries.
 
     Replaces every node ``vms`` dict of the first building block with a
-    copy that gains a ghost VM, through ``object.__setattr__`` so the
-    ``NODE_MUTATION_EPOCH`` bump the setter hook would perform never
-    happens.  This violates the index's documented scan contract (nodes
-    mutate their VM dicts in place, never replace them): the fingerprint
-    scan keeps counting the orphaned dicts, so the ghosts — and every
-    later placement onto the block — stay invisible to the incremental
-    path, while the naive rebuild path sees the true registries on every
-    request.  Exactly the class of bug (mutation outside the tracked
-    paths, no epoch bump) the oracle exists to catch.
-
-    Defers (returns ``False``) while recent ops touched the target block:
-    forking then would freeze registries the index has not yet
-    re-fingerprinted, and the pending drift would trigger a from-truth
-    rebuild that heals the corruption before it can diverge.
+    copy that gains a ghost VM, through ``object.__setattr__``.  That
+    bypasses ``ComputeNode.add_vm`` and with it the node event hooks that
+    feed the index, so the index never counts the ghosts (nor their
+    tenant), while the naive rebuild path walks the true registries on
+    every request.  Exactly the class of bug (a mutation outside the
+    tracked paths) the oracle exists to catch.
     """
     bb = next(iter(region.iter_building_blocks()))
-    if bb.bb_id in touched:
-        return False
     catalog = default_catalog()
     flavor = next(catalog.get(n) for n, w in FLAVOR_MIX if w > 0 and n in catalog)
     for k, node in enumerate(bb.nodes.values()):
@@ -214,7 +202,6 @@ def desync_index(
         forked = dict(node.vms)
         forked[ghost.vm_id] = ghost
         object.__setattr__(node, "vms", forked)
-    return True
 
 
 def replay_workload(
@@ -229,11 +216,8 @@ def replay_workload(
 ) -> ReplayOutcome:
     """Replay ``ops`` through a fresh region + scheduler; snapshot the end.
 
-    ``perturb`` (called with ``(region, placement, touched)`` after every
-    op from index ``perturb_after`` until it returns ``True``) lets
-    callers inject corruption mid-run; ``touched`` is the set of building
-    blocks whose node registries mutated since the last scheduler refresh,
-    so a perturbation can defer until its target is quiescent.  Both
+    ``perturb`` (called with ``(region, placement)`` once, after op index
+    ``perturb_after``) lets callers inject corruption mid-run.  Both
     differential paths replay identical ops and placements up to the
     injection point, hence apply the same perturbation at the same
     position.
@@ -249,10 +233,6 @@ def replay_workload(
     node_of: dict[str, ComputeNode] = {}
     trace: list[tuple[str, str | None, float, int]] = []
     placements: dict[str, str] = {}
-    perturbed = perturb is None
-    #: Building blocks whose node registries mutated since the last
-    #: scheduler refresh (schedule() refreshes the index on entry).
-    touched: set[str] = set()
 
     for i, op in enumerate(ops):
         if op.op == "create":
@@ -261,7 +241,6 @@ def replay_workload(
                 flavor=catalog.get(op.flavor_name),
                 tenant=op.tenant,
             )
-            touched.clear()
             try:
                 result = scheduler.schedule(spec_req)
             except NoValidHost:
@@ -283,7 +262,6 @@ def replay_workload(
                     vm.transition(VMState.BUILDING)
                     vm.transition(VMState.ACTIVE)
                     node.add_vm(vm)
-                    touched.add(result.host_id)
                     node_of[op.vm_id] = node
                     placements[op.vm_id] = result.host_id
                     trace.append(
@@ -300,11 +278,9 @@ def replay_workload(
                 continue  # the create was rejected on this path
             node.remove_vm(op.vm_id)
             placement.release(op.vm_id)
-            bb_id = placements.pop(op.vm_id, None)
-            if bb_id is not None:
-                touched.add(bb_id)
-        if not perturbed and i >= perturb_after:
-            perturbed = bool(perturb(region, placement, frozenset(touched)))
+            placements.pop(op.vm_id, None)
+        if perturb is not None and i == perturb_after:
+            perturb(region, placement)
 
     index_mismatches: list[Mismatch] = []
     if scheduler.index is not None:

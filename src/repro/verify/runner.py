@@ -12,8 +12,9 @@ Checks:
     Differential scheduler oracle (naive vs indexed vs scalar weighers).
 ``desync``
     Harness self-test: replays the oracle with a deliberately injected
-    index desync (ghost VM registry fork, no epoch bump) and *passes only
-    if the corruption is detected* — guarding the guard.
+    index desync (a ghost VM registry fork that bypasses the node event
+    hooks) and *passes only if the corruption is detected* — guarding
+    the guard.
 ``metamorphic``
     Telemetry + scheduler metamorphic properties.
 ``determinism_faults`` / ``determinism_chaos``

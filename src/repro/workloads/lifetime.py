@@ -34,21 +34,25 @@ class LifetimeModel:
     persistent: tuple[float, float, float] = (0.35, 1.5 * YEAR, 0.8)
 
     def __post_init__(self) -> None:
-        total = self.ephemeral[0] + self.project[0] + self.persistent[0]
+        components = (self.ephemeral, self.project, self.persistent)
+        total = sum(c[0] for c in components)
         if not np.isclose(total, 1.0, atol=1e-6):
             raise ValueError(f"mixture weights must sum to 1, got {total}")
+        # Derived once; sample() runs for every simulated VM.
+        object.__setattr__(self, "_weights", np.asarray([c[0] for c in components]))
+        object.__setattr__(
+            self, "_log_params", [(np.log(m), sigma) for _, m, sigma in components]
+        )
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """Draw ``n`` lifetimes in seconds."""
-        components = (self.ephemeral, self.project, self.persistent)
-        weights = np.asarray([c[0] for c in components])
-        choice = rng.choice(3, size=n, p=weights)
+        choice = rng.choice(3, size=n, p=self._weights)
         out = np.empty(n)
-        for i, (_, median, sigma) in enumerate(components):
+        for i, (mu, sigma) in enumerate(self._log_params):
             mask = choice == i
             count = int(mask.sum())
             if count:
-                out[mask] = rng.lognormal(np.log(median), sigma, count)
+                out[mask] = rng.lognormal(mu, sigma, count)
         # Floor at one minute: sub-minute VMs don't appear in the dataset.
         return np.maximum(out, 60.0)
 

@@ -1,5 +1,7 @@
 """Evacuation, recovery, and graceful degradation under injected faults."""
 
+import copy
+
 import pytest
 
 from repro.config import ScenarioSpec
@@ -15,6 +17,7 @@ from repro.infrastructure.topology import (
 from repro.infrastructure.vm import VM, VMState
 from repro.rebalancer.driver import RebalanceDriver
 from repro.scheduler.placement import VCPU, PlacementService
+from repro.simulation.events import VM_DELETE
 from repro.simulation.runner import RegionSimulation, SimulationConfig
 from tests.conftest import make_bb
 
@@ -153,6 +156,57 @@ class TestEvacuation:
         report = sim.fault_report
         assert report.evacuations_succeeded == 0
         assert report.dead_letters == []
+
+
+class TestResizeDraw:
+    """Resizes draw from the live-VM registry, not a scan of every VM."""
+
+    @staticmethod
+    def _alive_scan(sim: RegionSimulation) -> list[str]:
+        return [vm.vm_id for vm in sim.vms.values() if vm.alive]
+
+    def _assert_registry_matches_scan(self, sim: RegionSimulation) -> None:
+        alive = self._alive_scan(sim)
+        assert len(sim.live) == len(alive)
+        assert [sim.live.pick(k).vm_id for k in range(len(alive))] == alive
+
+    def test_evacuated_vm_keeps_its_position(self):
+        sim = _sim()
+        for i in range(6):
+            _place(sim, f"vm{i}", "g_c2_m8", f"bb{i % 2}-node-00{i % 2}")
+        self._assert_registry_matches_scan(sim)
+
+        sim.evacuation.on_host_fail(sim.engine, sim._node_index["bb0-node-000"])
+        assert {vm.state for vm in sim.vms.values()} == {
+            VMState.ACTIVE, VMState.ERROR
+        }
+        self._assert_registry_matches_scan(sim)  # ERROR VMs are not drawn
+
+        sim.engine.run_until(3600.0)  # ERROR -> BUILDING -> ACTIVE
+        assert sim.fault_report.evacuations_succeeded == 3
+        self._assert_registry_matches_scan(sim)
+        assert self._alive_scan(sim) == [f"vm{i}" for i in range(6)]
+
+        sim.engine.schedule(sim.engine.now, VM_DELETE, vm_id="vm1")
+        sim.engine.run_until(sim.engine.now)
+        self._assert_registry_matches_scan(sim)
+
+    def test_resize_after_evacuation_picks_the_scanned_vm(self):
+        sim = _sim()
+        for i in range(6):
+            _place(sim, f"vm{i}", "g_c2_m8", f"bb{i % 2}-node-00{i % 2}")
+        sim.evacuation.on_host_fail(sim.engine, sim._node_index["bb0-node-000"])
+        sim.engine.run_until(3600.0)
+        alive = self._alive_scan(sim)
+        # The old handler drew k from the simulation RNG, then indexed the scan.
+        k = int(copy.deepcopy(sim.rng).integers(0, len(alive)))
+        expected = sim.vms[alive[k]]
+        sim._handle_resize(sim.engine, None)
+        assert sim.resized == 1
+        assert expected.flavor.vcpus > 2
+        assert all(
+            vm.flavor.vcpus == 2 for vm in sim.vms.values() if vm is not expected
+        )
 
 
 class TestDrsDegradation:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.frame import Frame, read_csv, write_csv
 from repro.frame.csvio import dumps_csv, loads_csv
@@ -87,7 +87,33 @@ def test_property_float_round_trip_close(floats):
 
 
 @given(strings=st.lists(_safe_text, min_size=1, max_size=20))
+@example(["0E0"])
+@example(["-0", "1e5"])
 def test_property_string_round_trip(strings):
     frame = Frame({"s": strings})
     back = loads_csv(dumps_csv(frame))
     assert [str(v) for v in back["s"]] == [str(v) for v in frame["s"]]
+
+
+def test_numeric_looking_string_column_is_tagged():
+    frame = Frame({"s": np.asarray(["0E0", "12"], dtype=object), "x": [1, 2]})
+    text = dumps_csv(frame)
+    assert text.splitlines()[0] == "s:str,x"
+    back = loads_csv(text)
+    assert back.names == ["s", "x"]
+    assert list(back["s"]) == ["0E0", "12"]
+    assert back["x"].dtype.kind == "i"
+
+
+def test_plain_string_column_header_unchanged():
+    assert dumps_csv(Frame({"s": ["a", "b"]})).splitlines()[0] == "s"
+
+
+def test_tag_suffix_in_a_string_column_name_round_trips():
+    frame = Frame({"a:str": ["x"]})
+    assert loads_csv(dumps_csv(frame)) == frame
+
+
+def test_object_column_of_numbers_is_not_tagged():
+    frame = Frame({"n": np.asarray([1, 2], dtype=object)})
+    assert dumps_csv(frame).splitlines()[0] == "n"

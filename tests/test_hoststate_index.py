@@ -7,10 +7,15 @@ no matter how claims, releases, moves, rollbacks, node failures, or
 VM bookkeeping interleaved since the last query.
 """
 
+import copy
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.infrastructure.capacity import Capacity
 from repro.infrastructure.flavors import default_catalog
+from repro.infrastructure.hierarchy import ComputeNode
 from repro.infrastructure.vm import VM
 from repro.scheduler.hoststate import HostState
 from repro.scheduler.index import HostStateIndex, bucket_key
@@ -127,6 +132,42 @@ class TestIncrementalMaintenance:
         assert state.num_instances == 1
         assert "t9" in state.tenants
 
+    def test_tenant_leaves_with_its_last_vm_in_the_block(
+        self, tiny_region, placement, index, catalog
+    ):
+        index.refresh()
+        bb = next(iter(tiny_region.iter_building_blocks()))
+        first, second = list(bb.iter_nodes())[:2]
+        flavor = catalog.get("g_c2_m8")
+        first.add_vm(VM(vm_id="vm-a", flavor=flavor, tenant="t9"))
+        second.add_vm(VM(vm_id="vm-b", flavor=flavor, tenant="t9"))
+        state = next(s for s in index.states() if s.host_id == bb.bb_id)
+        first.remove_vm("vm-a")
+        assert "t9" in state.tenants  # still resident on the second node
+        second.remove_vm("vm-b")
+        assert "t9" not in state.tenants
+        assert state.num_instances == 0
+        assert_equivalent(index, tiny_region, placement)
+
+    def test_node_joining_a_block_is_caught_by_refresh(
+        self, tiny_region, placement, index
+    ):
+        bb = next(b for b in tiny_region.iter_building_blocks() if b.bb_id == "dc2-gp-00")
+        for node in bb.iter_nodes():
+            node.failed = True
+        index.refresh()
+        assert not next(s for s in index.states() if s.host_id == bb.bb_id).enabled
+        spare = next(bb.iter_nodes())
+        bb.add_node(ComputeNode(node_id="dc2-gp-00-spare", physical=spare.physical))
+        assert_equivalent(index, tiny_region, placement)
+        assert next(s for s in index.states() if s.host_id == bb.bb_id).enabled
+
+    def test_deep_copied_block_has_no_listeners(self, tiny_region, index):
+        bb = next(iter(tiny_region.iter_building_blocks()))
+        clone = copy.deepcopy(bb)
+        assert bb.listeners and not clone.listeners
+        assert all(n.listeners is clone.listeners for n in clone.iter_nodes())
+
     def test_metadata_survives_rebuild(self, tiny_region, placement, index):
         index.refresh()
         state = index.states()[0]
@@ -167,6 +208,8 @@ _OPS = st.lists(
                 "fail",
                 "recover",
                 "node_vm",
+                "node_vm_remove",
+                "resize",
                 "quarantine",
                 "readmit",
             ]
@@ -178,7 +221,7 @@ _OPS = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(ops=_OPS)
 def test_property_index_equivalent_after_random_ops(ops):
     """Randomised interleavings never desynchronise the index."""
@@ -193,7 +236,9 @@ def test_property_index_equivalent_after_random_ops(ops):
     catalog = default_catalog()
     bbs = list(region.iter_building_blocks())
     nodes = [n for bb in bbs for n in bb.iter_nodes()]
+    node_by_id = {n.node_id: n for n in nodes}
     claimed: list[str] = []
+    resident: list[VM] = []
 
     for i, (op, a, b) in enumerate(ops):
         if op == "claim":
@@ -234,14 +279,31 @@ def test_property_index_equivalent_after_random_ops(ops):
         elif op == "node_vm":
             node = nodes[a % len(nodes)]
             vm_id = f"nvm{i}"
-            if vm_id not in node.vms:
-                node.add_vm(
-                    VM(
-                        vm_id=vm_id,
-                        flavor=catalog.get(_FLAVORS[b % len(_FLAVORS)]),
-                        tenant=f"t{b % 3}",
-                    )
-                )
+            vm = VM(
+                vm_id=vm_id,
+                flavor=catalog.get(_FLAVORS[b % len(_FLAVORS)]),
+                tenant=f"t{b % 3}",
+            )
+            node.add_vm(vm)
+            resident.append(vm)
+        elif op == "node_vm_remove" and resident:
+            vm = resident.pop(a % len(resident))
+            node_by_id[vm.node_id].remove_vm(vm.vm_id)
+        elif op == "resize" and resident:
+            # The flavor changes while the VM is off its node, as in the
+            # simulation's resize handler; it may land on another node.
+            vm = resident[a % len(resident)]
+            node_by_id[vm.node_id].remove_vm(vm.vm_id)
+            vm.flavor = catalog.get(_FLAVORS[b % len(_FLAVORS)])
+            nodes[b % len(nodes)].add_vm(vm)
+        for node in nodes:  # the running totals equal a fresh recount
+            total = Capacity()
+            for vm in node.vms.values():
+                total = total + vm.requested()
+            assert node.allocated() == total
+            assert node.tenant_counts == Counter(
+                vm.tenant for vm in node.vms.values()
+            )
         if i % 7 == 0:
             index.refresh()  # interleaved queries must not mask later drift
 

@@ -101,8 +101,8 @@ def test_oracle_clean_run_agrees():
 
 
 def test_oracle_catches_injected_desync():
-    """Acceptance: an epoch-silent index desync yields structured
-    mismatches naming host, VM, and field."""
+    """Acceptance: an index desync that bypasses the node event hooks
+    yields structured mismatches naming host, VM, and field."""
     result = run_oracle(TINY, 7, perturb=desync_index)
     assert not result.ok
     placements = [m for m in result.mismatches if m.check == "placements"]
