@@ -9,8 +9,12 @@ and reported, never silently dropped.
 
 The manager is deliberately coupled to the simulation object (duck-typed
 ``RegionSimulation``): evacuation must mutate the same node/placement/VM
-state the event handlers use, and going through the sim keeps one source
-of truth for node selection inside a building block.
+state the event handlers use, so it lands VMs through the sim's ``land``,
+the create and resize path, whose node choice is
+:meth:`~repro.infrastructure.hierarchy.BuildingBlock.pick_node`.  It
+tells no scheduler about health flips: writing ``node.failed`` fires the
+block's ``"health"`` node event, which marks the scheduler index's view
+of that block stale.
 """
 
 from __future__ import annotations
@@ -48,9 +52,6 @@ class EvacuationManager:
         node.failed = True
         self.report.host_failures += 1
         self.report.failed_hosts.append(node.node_id)
-        # The failure flag bypasses placement, so tell an indexing
-        # scheduler its cached view of this building block is stale.
-        self._invalidate_host(node.building_block)
         victims = list(node.vms.values())
         for i, vm in enumerate(victims):
             node.remove_vm(vm.vm_id)
@@ -76,12 +77,6 @@ class EvacuationManager:
         if node.failed:
             node.failed = False
             self.report.host_recoveries += 1
-            self._invalidate_host(node.building_block)
-
-    def _invalidate_host(self, bb_id: str) -> None:
-        invalidate = getattr(self.sim.scheduler, "invalidate_host", None)
-        if invalidate is not None:
-            invalidate(bb_id)
 
     # -- retry loop -------------------------------------------------------------
 
@@ -104,19 +99,10 @@ class EvacuationManager:
         except NoValidHost:
             self._attempt_failed(engine, payload, excluded)
             return
-        bb = self.sim._bb_index.get(result.host_id)
-        node = (
-            self.sim._node_index.get(result.host_id)
-            if bb is None
-            else self.sim._pick_node(bb, vm.flavor)
-        )
-        if bb is None and node is not None:
-            bb = self.sim._bb_index.get(node.building_block)
-        if node is None or bb is None:
-            # The BB-level claim succeeded but no single node fits: roll the
-            # claim back and retry with this building block excluded.
-            if self.sim.placement.allocation_for(vm.vm_id) is not None:
-                self.sim.placement.release(vm.vm_id)
+        node = self.sim.land(result, vm.flavor)
+        if node is None:
+            # The BB-level claim succeeded but no single node fits (land
+            # released it): retry with this building block excluded.
             self._attempt_failed(engine, payload, excluded | {result.host_id})
             return
         vm.transition(VMState.BUILDING)

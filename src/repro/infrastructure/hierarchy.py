@@ -223,6 +223,35 @@ class BuildingBlock:
             total = total + node.free(self.overcommit)
         return total
 
+    def pick_node(self, requested: Capacity) -> ComputeNode | None:
+        """The member node this block's policy lands ``requested`` on.
+
+        Only healthy nodes with room under ``overcommit`` qualify.  A
+        ``pack`` block takes the node with the highest allocated-memory
+        fraction, a ``spread`` block the one with the lowest
+        allocated-vCPU fraction; ``node_id`` breaks ties.  None when no
+        node fits.
+        """
+        fitting = [
+            n
+            for n in self.nodes.values()
+            if n.healthy and requested.fits_within(n.free(self.overcommit))
+        ]
+        if not fitting:
+            return None
+        if self.policy == "pack":
+            return max(
+                fitting,
+                key=lambda n: (
+                    n.allocated().memory_mb / n.physical.memory_mb,
+                    n.node_id,
+                ),
+            )
+        return min(
+            fitting,
+            key=lambda n: (n.allocated().vcpus / n.physical.vcpus, n.node_id),
+        )
+
     def vms(self) -> list[VM]:
         """All VMs resident on this building block's nodes."""
         out: list[VM] = []

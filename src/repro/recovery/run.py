@@ -1,10 +1,11 @@
 """Crash-consistent execution of a seeded placement workload.
 
 :class:`JournaledRun` executes the exact workload the differential
-oracle replays (:func:`repro.verify.oracle.workload_ops` through the
-indexed ``FilterScheduler``), but journals every state change ahead of
-applying it and snapshots the full control-plane state on a fixed op
-cadence.  Recovery (:func:`recover_and_continue`) then rebuilds the
+oracle replays (:func:`repro.verify.oracle.workload_ops`, applied op by
+op by the oracle's :class:`~repro.verify.oracle.WorkloadReplay` through
+the indexed ``FilterScheduler``), but journals every state change ahead
+of applying it, commits each op with a record built from its trace row,
+and snapshots the full control-plane state on a fixed op cadence.  Recovery (:func:`recover_and_continue`) then rebuilds the
 world from the newest valid snapshot and *re-executes* the lost ops —
 deterministic replay is the redo log.  The journal plays two roles on
 the way back up:
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.infrastructure.flavors import default_catalog
 from repro.infrastructure.topology import build_region
 from repro.infrastructure.vm import VM, VMState
 from repro.recovery.journal import (
@@ -46,17 +46,9 @@ from repro.recovery.journal import (
 )
 from repro.recovery.snapshot import SnapshotStore
 from repro.scheduler.config import SchedulerConfig
-from repro.scheduler.hoststate import HostState
-from repro.scheduler.pipeline import FilterScheduler, NoValidHost
+from repro.scheduler.pipeline import FilterScheduler
 from repro.scheduler.placement import PlacementService
-from repro.scheduler.request import RequestSpec
-from repro.verify.oracle import (
-    Mismatch,
-    ReplayOutcome,
-    inventory_snapshot,
-    pick_node,
-    workload_ops,
-)
+from repro.verify.oracle import ReplayOutcome, WorkloadReplay, workload_ops
 from repro.verify.scenarios import VerifyScenario
 
 #: Named kill-points, in per-op firing order (snapshot points fire only
@@ -142,7 +134,6 @@ class JournaledRun:
         self.journal_path = self.run_dir / "journal.wal"
         self.snapshots = SnapshotStore(self.run_dir / "snapshots")
         self.ops = workload_ops(scenario, seed)
-        self._catalog = default_catalog()
         # Journal cursor: while `_expected` has records left, re-emitted
         # records are verified against them; afterwards they are appended.
         self._expected: list[tuple[int, dict]] = []
@@ -164,55 +155,48 @@ class JournaledRun:
             self.placement,
             SchedulerConfig(use_index=True, track_filter_counts=False),
         )
-        self.bb_index = {
-            bb.bb_id: bb for bb in self.region.iter_building_blocks()
-        }
-        self.node_index = {
-            node.node_id: node
-            for bb in self.region.iter_building_blocks()
-            for node in bb.iter_nodes()
-        }
-        self.node_of: dict[str, str] = {}
-        self.placements: dict[str, str] = {}
-        self.trace: list[tuple[str, str | None, float, int]] = []
+        self.replay = WorkloadReplay(self.scheduler)
 
     def _export_state(self, completed: int) -> dict:
+        replay = self.replay
         residency = {}
-        for vm_id in sorted(self.node_of):
-            node_id = self.node_of[vm_id]
-            vm = self.node_index[node_id].vms[vm_id]
+        for vm_id in sorted(replay.node_of):
+            node = replay.node_of[vm_id]
+            vm = node.vms[vm_id]
             residency[vm_id] = {
-                "node": node_id,
-                "bb": self.placements[vm_id],
+                "node": node.node_id,
+                "bb": replay.placements[vm_id],
                 "flavor": vm.flavor.name,
                 "tenant": vm.tenant,
             }
         return {
             "completed": completed,
-            "trace": [list(row) for row in self.trace],
+            "trace": [list(row) for row in replay.trace],
             "residency": residency,
             "placement": self.placement.export_state(),
             "scheduler_stats": dict(self.scheduler.stats),
         }
 
     def _restore(self, state: dict) -> None:
+        replay = self.replay
+        nodes = {node.node_id: node for node in self.region.iter_nodes()}
         for vm_id, info in state["residency"].items():
-            node = self.node_index[info["node"]]
+            node = nodes[info["node"]]
             vm = VM(
                 vm_id=vm_id,
-                flavor=self._catalog.get(info["flavor"]),
+                flavor=replay.catalog.get(info["flavor"]),
                 tenant=info["tenant"],
             )
             vm.transition(VMState.BUILDING)
             vm.transition(VMState.ACTIVE)
             node.add_vm(vm)
-            self.node_of[vm_id] = info["node"]
-            self.placements[vm_id] = info["bb"]
+            replay.node_of[vm_id] = node
+            replay.placements[vm_id] = info["bb"]
         self.placement.restore_state(state["placement"])
         self.scheduler.stats.update(
             {k: int(v) for k, v in state["scheduler_stats"].items()}
         )
-        self.trace = [
+        replay.trace = [
             (row[0], row[1], float(row[2]), int(row[3]))
             for row in state["trace"]
         ]
@@ -258,65 +242,17 @@ class JournaledRun:
         self._op_i = i
         self._fire("pre-op")
         if op.op == "create":
-            spec_req = RequestSpec(
-                vm_id=op.vm_id,
-                flavor=self._catalog.get(op.flavor_name),
-                tenant=op.tenant,
-            )
-            try:
-                result = self.scheduler.schedule(spec_req)
-            except NoValidHost:
-                self.trace.append((op.vm_id, None, 0.0, 0))
-                commit = self._commit(i, op, host=None, score=0.0, attempts=0)
-            else:
-                bb = self.bb_index[result.host_id]
-                node = pick_node(bb, spec_req)
-                if node is None:
-                    # BB-level room but no single node fits: release, as
-                    # the oracle and the simulation runner both do.
-                    self.placement.release(op.vm_id)
-                    self.trace.append((op.vm_id, None, 0.0, result.attempts))
-                    commit = self._commit(
-                        i, op, host=None, score=0.0, attempts=result.attempts
-                    )
-                else:
-                    vm = VM(
-                        vm_id=op.vm_id,
-                        flavor=spec_req.flavor,
-                        tenant=op.tenant,
-                    )
-                    vm.transition(VMState.BUILDING)
-                    vm.transition(VMState.ACTIVE)
-                    node.add_vm(vm)
-                    self.node_of[op.vm_id] = node.node_id
-                    self.placements[op.vm_id] = result.host_id
-                    score = round(result.score, 9)
-                    self.trace.append(
-                        (op.vm_id, result.host_id, score, result.attempts)
-                    )
-                    commit = self._commit(
-                        i,
-                        op,
-                        host=result.host_id,
-                        score=score,
-                        attempts=result.attempts,
-                    )
+            _, host, score, attempts = self.replay.apply(op)
+            commit = {
+                "t": "op", "i": i, "op": "create", "vm": op.vm_id,
+                "host": host, "score": score, "attempts": attempts,
+            }
         else:
-            node_id = self.node_of.pop(op.vm_id, None)
-            if node_id is None:
-                # The create was rejected; nothing to delete.
-                commit = {
-                    "t": "op", "i": i, "op": "delete",
-                    "vm": op.vm_id, "present": False,
-                }
-            else:
-                self.node_index[node_id].remove_vm(op.vm_id)
-                self.placement.release(op.vm_id)
-                self.placements.pop(op.vm_id, None)
-                commit = {
-                    "t": "op", "i": i, "op": "delete",
-                    "vm": op.vm_id, "present": True,
-                }
+            commit = {
+                "t": "op", "i": i, "op": "delete", "vm": op.vm_id,
+                "present": op.vm_id in self.replay.node_of,
+            }
+            self.replay.apply(op)
         self._fire("post-apply")
         self._emit(commit)
         self._fire("post-journal")
@@ -327,49 +263,6 @@ class JournaledRun:
                 completed, self._export_state(completed), barrier=self._fire
             )
             self._fire("post-snapshot")
-
-    @staticmethod
-    def _commit(i: int, op, *, host, score, attempts) -> dict:
-        return {
-            "t": "op",
-            "i": i,
-            "op": "create",
-            "vm": op.vm_id,
-            "host": host,
-            "score": score,
-            "attempts": attempts,
-        }
-
-    def _outcome(self, variant: str) -> ReplayOutcome:
-        index_mismatches: list[Mismatch] = []
-        if self.scheduler.index is not None:
-            self.scheduler.index.refresh()
-            for state in self.scheduler.index.states():
-                truth = HostState.from_building_block(
-                    self.bb_index[state.host_id], self.placement
-                )
-                for name, actual, expected in state.diff_fields(truth):
-                    index_mismatches.append(
-                        Mismatch(
-                            check="index_state",
-                            variant=variant,
-                            subject=state.host_id,
-                            field=name,
-                            expected=expected,
-                            actual=actual,
-                        )
-                    )
-        return ReplayOutcome(
-            variant=variant,
-            placements=dict(self.placements),
-            trace=list(self.trace),
-            scheduler_stats=self.scheduler.stats_snapshot(),
-            placement_stats={
-                k: int(v) for k, v in self.placement.stats().items()
-            },
-            inventory=inventory_snapshot(self.placement, self.bb_index),
-            index_mismatches=index_mismatches,
-        )
 
     # -- entry points ---------------------------------------------------------
 
@@ -391,7 +284,7 @@ class JournaledRun:
                 self._execute_op(i, op)
         finally:
             self._writer.close()
-        return self._outcome("journaled")
+        return self.replay.outcome("journaled")
 
     def recover(self) -> tuple[ReplayOutcome, RecoveryInfo]:
         """Load the newest valid snapshot, replay the journal, finish.
@@ -443,7 +336,7 @@ class JournaledRun:
             truncated_reason=scan.truncated_reason if scan is not None else "",
             bytes_truncated=bytes_truncated,
         )
-        return self._outcome("recovered"), info
+        return self.replay.outcome("recovered"), info
 
     # -- journal validation ---------------------------------------------------
 

@@ -87,18 +87,10 @@ class HostHealthService:
         #: Resident-VM snapshot taken at quarantine time, per node — the
         #: invariant checker asserts no additions while quarantined.
         self.quarantine_residents: dict[str, frozenset[str]] = {}
-        #: Anything exposing ``invalidate_host(bb_id)`` (the scheduler).
-        self.scheduler: Any = None
         #: Optional write-ahead hook: called with a JSON-able record on
         #: every quarantine transition (quarantine / extend / readmit),
         #: before the transition is applied to node state.
         self.journal_sink: Any = None
-
-    # -- wiring ---------------------------------------------------------------
-
-    def attach_scheduler(self, scheduler: Any) -> None:
-        """Give the service a scheduler to invalidate on quarantine flips."""
-        self.scheduler = scheduler
 
     def state_of(self, node_id: str) -> HealthState:
         return self._records[node_id].state
@@ -224,10 +216,6 @@ class HostHealthService:
         elif was:
             self.quarantined_bbs.discard(bb_id)
             self.quarantined_hosts.discard(bb_id)
-        if self.scheduler is not None:
-            invalidate = getattr(self.scheduler, "invalidate_host", None)
-            if invalidate is not None:
-                invalidate(bb_id)
 
     # -- snapshot / restore -----------------------------------------------------
 

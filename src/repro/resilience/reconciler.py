@@ -102,21 +102,33 @@ class InventoryReconciler:
 
     def _reconcile_capacity(self) -> int:
         placement = self.sim.placement
-        repairs = 0
-        for provider in sorted(placement.providers(), key=lambda p: p.provider_id):
-            expected: dict[str, float] = {rc: 0.0 for rc in provider.inventory}
-            for allocation in placement.allocations_on(provider.provider_id):
+        providers = sorted(placement.providers(), key=lambda p: p.provider_id)
+        expected = {
+            p.provider_id: {rc: 0.0 for rc in p.inventory} for p in providers
+        }
+        # One pass over the allocations in the order they were made, so each
+        # provider's sums add up exactly as a per-provider scan would.
+        for allocation in placement.allocations():
+            sums = expected.get(allocation.provider_id)
+            if sums is not None:
                 for rc, amount in allocation.amounts.items():
-                    expected[rc] = expected.get(rc, 0.0) + amount
+                    sums[rc] = sums.get(rc, 0.0) + amount
+        index = getattr(self.sim.scheduler, "index", None)
+        repairs = 0
+        for provider in providers:
+            sums = expected[provider.provider_id]
             drifted = any(
                 abs(provider.used.get(rc, 0.0) - amount) > _EPS
-                for rc, amount in expected.items()
+                for rc, amount in sums.items()
             )
             if drifted:
-                provider.used.update(expected)
+                # Rewriting ``used`` bypasses the placement listener that
+                # keeps the index current, so invalidate its view here.
+                provider.used.update(sums)
                 self.report.capacity_drift_repairs += 1
                 repairs += 1
-                self._invalidate(provider.provider_id)
+                if index is not None:
+                    index.invalidate(provider.provider_id)
         return repairs
 
     def _reconcile_index(self) -> int:
@@ -143,8 +155,3 @@ class InventoryReconciler:
                 self.report.index_drift_invalidations += 1
                 repairs += 1
         return repairs
-
-    def _invalidate(self, bb_id: str) -> None:
-        invalidate = getattr(self.sim.scheduler, "invalidate_host", None)
-        if invalidate is not None:
-            invalidate(bb_id)

@@ -6,8 +6,7 @@ and callers wired policy selection by hand via ``weighers_for_flavor``.
 :class:`SchedulerConfig` collapses that surface into one value object that
 every entry point (simulation runner, fault scenarios, rebalancer,
 benchmarks, examples) passes to ``FilterScheduler(region, placement,
-config)``.  The old keyword arguments remain as deprecated shims for one
-release.
+config)``.
 """
 
 from __future__ import annotations

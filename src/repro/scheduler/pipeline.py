@@ -102,11 +102,6 @@ class FilterScheduler:
             for bb in self.region.iter_building_blocks()
         ]
 
-    def invalidate_host(self, host_id: str) -> None:
-        """Tell the index a host mutated outside placement (e.g. failed)."""
-        if self._index is not None:
-            self._index.invalidate(host_id)
-
     @property
     def index(self) -> HostStateIndex | None:
         """The incremental host-state index, if enabled."""

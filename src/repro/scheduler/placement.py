@@ -11,7 +11,7 @@ claim fails and nothing is recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.infrastructure.capacity import Capacity, OvercommitPolicy
 from repro.infrastructure.hierarchy import BuildingBlock
@@ -256,6 +256,10 @@ class PlacementService:
     def allocation_for(self, consumer_id: str) -> Allocation | None:
         """The consumer's allocation, or None if it has none."""
         return self._allocations.get(consumer_id)
+
+    def allocations(self) -> Iterable[Allocation]:
+        """Every allocation, in the order it was made (a live view)."""
+        return self._allocations.values()
 
     def allocations_on(self, provider_id: str) -> list[Allocation]:
         """Every allocation currently booked on one provider."""

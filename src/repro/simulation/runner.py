@@ -42,7 +42,7 @@ from repro.resilience.reconciler import InventoryReconciler
 from repro.resilience.report import ResilienceReport
 from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.filters import QuarantineFilter, default_filters
-from repro.scheduler.pipeline import FilterScheduler, NoValidHost
+from repro.scheduler.pipeline import FilterScheduler, NoValidHost, SchedulingResult
 from repro.scheduler.placement import PlacementService
 from repro.scheduler.request import RequestSpec
 from repro.simulation.engine import SimulationEngine
@@ -230,7 +230,6 @@ class RegionSimulation:
 
         # -- resilience layer, part 2: everything downstream of the scheduler.
         if resilience is not None:
-            self.health.attach_scheduler(self.scheduler)
             self.admission = AdmissionController(
                 self.scheduler,
                 resilience,
@@ -452,18 +451,8 @@ class RegionSimulation:
         except NoValidHost:
             self.rejected += 1
             return
-        bb = self._bb_index.get(result.host_id)
-        node = (
-            self._node_index.get(result.host_id)
-            if bb is None
-            else self._pick_node(bb, flavor)
-        )
-        if bb is None:
-            # Holistic scheduler returned a node id directly.
-            bb = self._bb_index[node.building_block] if node is not None else None
-        if node is None or bb is None:
-            # BB had placement room but no single node fits: release and drop.
-            self.placement.release(vm_id)
+        node = self.land(result, flavor)
+        if node is None:
             self.rejected += 1
             return
         vm = VM(vm_id=vm_id, flavor=flavor, created_at=engine.now)
@@ -523,19 +512,11 @@ class RegionSimulation:
             vm_id=vm.vm_id, flavor=new_flavor, operation="resize"
         )
         try:
-            result = self.scheduler.schedule(spec)
-            bb = self._bb_index.get(result.host_id)
-            node = (
-                self._node_index.get(result.host_id)
-                if bb is None
-                else self._pick_node(bb, new_flavor)
-            )
-            if node is None:
-                raise NoValidHost("no node fits the resized VM")
+            node = self.land(self.scheduler.schedule(spec), new_flavor)
         except NoValidHost:
+            node = None
+        if node is None:
             # Roll back: re-claim the original size on the original host.
-            if self.placement.allocation_for(vm.vm_id) is not None:
-                self.placement.release(vm.vm_id)
             self.placement.claim(vm.vm_id, old_bb.bb_id, old_flavor.requested())
             old_node.add_vm(vm)
             vm.transition(VMState.ACTIVE)
@@ -784,28 +765,23 @@ class RegionSimulation:
 
     # -- helpers ------------------------------------------------------------------
 
+    def land(self, result: SchedulingResult, flavor) -> ComputeNode | None:
+        """The node a successful schedule of ``flavor`` lands on, or None.
+
+        ``result.host_id`` names a building block, whose policy picks the
+        node (Nova), or a node the holistic scheduler picked already.
+        When no node fits, the claim is released and None is returned.
+        """
+        bb = self._bb_index.get(result.host_id)
+        node = (
+            self._node_index.get(result.host_id)
+            if bb is None
+            else bb.pick_node(flavor.requested())
+        )
+        if node is None:
+            self.placement.release(result.vm_id)
+        return node
+
     def _pick_flavor(self):
         idx = self.rng.choice(len(self._arrival_flavors), p=self._arrival_p)
         return self._arrival_flavors[int(idx)]
-
-    def _pick_node(self, bb: BuildingBlock, flavor) -> ComputeNode | None:
-        requested = flavor.requested()
-        fitting = [
-            n
-            for n in bb.iter_nodes()
-            if n.healthy and requested.fits_within(n.free(bb.overcommit))
-        ]
-        if not fitting:
-            return None
-        if bb.policy == "pack":
-            return max(
-                fitting,
-                key=lambda n: (
-                    n.allocated().memory_mb / n.physical.memory_mb,
-                    n.node_id,
-                ),
-            )
-        return min(
-            fitting,
-            key=lambda n: (n.allocated().vcpus / n.physical.vcpus, n.node_id),
-        )

@@ -204,6 +204,101 @@ def desync_index(region: Region, placement: PlacementService) -> None:
         object.__setattr__(node, "vms", forked)
 
 
+class WorkloadReplay:
+    """Drives one scheduler's world through workload ops, one at a time.
+
+    The single create/delete path of the oracle replays and of the
+    journaled recovery run.  A create is scheduled, landed on the node
+    :meth:`~repro.infrastructure.hierarchy.BuildingBlock.pick_node`
+    chooses (releasing the claim when none fits, as the simulation runner
+    does) and traced; a delete removes a resident VM and releases its
+    claim.
+    """
+
+    def __init__(self, scheduler: FilterScheduler) -> None:
+        self.scheduler = scheduler
+        self.placement = scheduler.placement
+        self.bb_index = {
+            bb.bb_id: bb for bb in scheduler.region.iter_building_blocks()
+        }
+        self.catalog = default_catalog()
+        self.node_of: dict[str, ComputeNode] = {}
+        #: Residency: vm_id -> building block (deleted VMs absent).
+        self.placements: dict[str, str] = {}
+        #: Per-create decision: (vm_id, host or None, rounded score, attempts).
+        self.trace: list[tuple[str, str | None, float, int]] = []
+
+    def apply(self, op: WorkloadOp) -> tuple[str, str | None, float, int] | None:
+        """Apply one op; a create returns the trace row it appended."""
+        if op.op == "delete":
+            node = self.node_of.pop(op.vm_id, None)
+            if node is not None:  # None: the create was rejected
+                node.remove_vm(op.vm_id)
+                self.placement.release(op.vm_id)
+                del self.placements[op.vm_id]
+            return None
+        flavor = self.catalog.get(op.flavor_name)
+        spec = RequestSpec(vm_id=op.vm_id, flavor=flavor, tenant=op.tenant)
+        try:
+            result = self.scheduler.schedule(spec)
+        except NoValidHost:
+            row = (op.vm_id, None, 0.0, 0)
+        else:
+            node = self.bb_index[result.host_id].pick_node(flavor.requested())
+            if node is None:
+                self.placement.release(op.vm_id)
+                row = (op.vm_id, None, 0.0, result.attempts)
+            else:
+                vm = VM(vm_id=op.vm_id, flavor=flavor, tenant=op.tenant)
+                vm.transition(VMState.BUILDING)
+                vm.transition(VMState.ACTIVE)
+                node.add_vm(vm)
+                self.node_of[op.vm_id] = node
+                self.placements[op.vm_id] = result.host_id
+                row = (
+                    op.vm_id,
+                    result.host_id,
+                    round(result.score, 9),
+                    result.attempts,
+                )
+        self.trace.append(row)
+        return row
+
+    def outcome(self, variant: str) -> ReplayOutcome:
+        """Snapshot the end state; check every cached index state against
+        a from-scratch rebuild."""
+        index = self.scheduler.index
+        index_mismatches: list[Mismatch] = []
+        if index is not None:
+            index.refresh()
+            for state in index.states():
+                truth = HostState.from_building_block(
+                    self.bb_index[state.host_id], self.placement
+                )
+                for name, actual, expected in state.diff_fields(truth):
+                    index_mismatches.append(
+                        Mismatch(
+                            check="index_state",
+                            variant=variant,
+                            subject=state.host_id,
+                            field=name,
+                            expected=expected,
+                            actual=actual,
+                        )
+                    )
+        return ReplayOutcome(
+            variant=variant,
+            placements=dict(self.placements),
+            trace=list(self.trace),
+            scheduler_stats=self.scheduler.stats_snapshot(),
+            placement_stats={
+                k: int(v) for k, v in self.placement.stats().items()
+            },
+            inventory=inventory_snapshot(self.placement, self.bb_index),
+            index_mismatches=index_mismatches,
+        )
+
+
 def replay_workload(
     spec: TopologySpec,
     ops: list[WorkloadOp],
@@ -227,128 +322,18 @@ def replay_workload(
     for bb in region.iter_building_blocks():
         placement.register_building_block(bb)
     scheduler_cls = _ScalarWeighScheduler if scalar_weighers else FilterScheduler
-    scheduler = scheduler_cls(region, placement, scheduler_config)
-    catalog = default_catalog()
-    bb_index = {bb.bb_id: bb for bb in region.iter_building_blocks()}
-    node_of: dict[str, ComputeNode] = {}
-    trace: list[tuple[str, str | None, float, int]] = []
-    placements: dict[str, str] = {}
-
+    replay = WorkloadReplay(scheduler_cls(region, placement, scheduler_config))
     for i, op in enumerate(ops):
-        if op.op == "create":
-            spec_req = RequestSpec(
-                vm_id=op.vm_id,
-                flavor=catalog.get(op.flavor_name),
-                tenant=op.tenant,
-            )
-            try:
-                result = scheduler.schedule(spec_req)
-            except NoValidHost:
-                trace.append((op.vm_id, None, 0.0, 0))
-            else:
-                bb = bb_index[result.host_id]
-                node = _pick_node(bb, spec_req)
-                if node is None:
-                    # BB-level room but no single node fits: release, as
-                    # the simulation runner does.
-                    placement.release(op.vm_id)
-                    trace.append((op.vm_id, None, 0.0, result.attempts))
-                else:
-                    vm = VM(
-                        vm_id=op.vm_id,
-                        flavor=spec_req.flavor,
-                        tenant=op.tenant,
-                    )
-                    vm.transition(VMState.BUILDING)
-                    vm.transition(VMState.ACTIVE)
-                    node.add_vm(vm)
-                    node_of[op.vm_id] = node
-                    placements[op.vm_id] = result.host_id
-                    trace.append(
-                        (
-                            op.vm_id,
-                            result.host_id,
-                            round(result.score, 9),
-                            result.attempts,
-                        )
-                    )
-        else:
-            node = node_of.pop(op.vm_id, None)
-            if node is None:
-                continue  # the create was rejected on this path
-            node.remove_vm(op.vm_id)
-            placement.release(op.vm_id)
-            placements.pop(op.vm_id, None)
+        replay.apply(op)
         if perturb is not None and i == perturb_after:
             perturb(region, placement)
-
-    index_mismatches: list[Mismatch] = []
-    if scheduler.index is not None:
-        scheduler.index.refresh()
-        for state in scheduler.index.states():
-            truth = HostState.from_building_block(
-                bb_index[state.host_id], placement
-            )
-            for name, actual, expected in state.diff_fields(truth):
-                index_mismatches.append(
-                    Mismatch(
-                        check="index_state",
-                        variant=variant,
-                        subject=state.host_id,
-                        field=name,
-                        expected=expected,
-                        actual=actual,
-                    )
-                )
-    return ReplayOutcome(
-        variant=variant,
-        placements=placements,
-        trace=trace,
-        scheduler_stats=scheduler.stats_snapshot(),
-        placement_stats={k: int(v) for k, v in placement.stats().items()},
-        inventory=_inventory_snapshot(placement, bb_index),
-        index_mismatches=index_mismatches,
-    )
-
-
-def _pick_node(bb: BuildingBlock, spec: RequestSpec) -> ComputeNode | None:
-    """Policy-aware node choice, mirroring the simulation runner."""
-    fitting = [
-        n
-        for n in bb.iter_nodes()
-        if n.healthy and spec.requested().fits_within(n.free(bb.overcommit))
-    ]
-    if not fitting:
-        return None
-    if bb.policy == "pack":
-        return max(
-            fitting,
-            key=lambda n: (
-                n.allocated().memory_mb / n.physical.memory_mb,
-                n.node_id,
-            ),
-        )
-    return min(
-        fitting, key=lambda n: (n.allocated().vcpus / n.physical.vcpus, n.node_id)
-    )
-
-
-#: Public aliases: the recovery layer replays the same workload through
-#: the same node-choice policy and inventory snapshot as the oracle, so
-#: a recovered run is comparable field-by-field with an oracle replay.
-def pick_node(bb: BuildingBlock, spec: RequestSpec) -> ComputeNode | None:
-    return _pick_node(bb, spec)
+    return replay.outcome(variant)
 
 
 def inventory_snapshot(
     placement: PlacementService, bb_index: dict[str, BuildingBlock]
 ) -> dict[str, dict[str, float | int]]:
-    return _inventory_snapshot(placement, bb_index)
-
-
-def _inventory_snapshot(
-    placement: PlacementService, bb_index: dict[str, BuildingBlock]
-) -> dict[str, dict[str, float | int]]:
+    """bb_id -> free/capacity/allocation/resident counts, rounded."""
     from repro.scheduler.placement import DISK_GB, MEMORY_MB, VCPU
 
     out: dict[str, dict[str, float | int]] = {}

@@ -209,6 +209,58 @@ class TestResizeDraw:
         )
 
 
+class TestHolisticEvacuation:
+    """The holistic scheduler names a node, not a building block, so its
+    evacuations land through the node-id branch of ``RegionSimulation.land``."""
+
+    @pytest.fixture(scope="class")
+    def faulted(self):
+        sim = RegionSimulation(
+            _spec(bbs=3, nodes=3),
+            SimulationConfig(
+                duration_days=0.5,
+                arrival_rate_per_hour=8.0,
+                initial_vms=40,
+                seed=21,
+                scheduler_factory="holistic",
+                faults=FaultConfig(seed=21, host_failure_rate_per_day=24.0),
+            ),
+        )
+        evacuated: set[str] = set()
+        fail = sim.evacuation.on_host_fail
+
+        def record_victims(engine, node):
+            evacuated.update(node.vms)
+            fail(engine, node)
+
+        sim.evacuation.on_host_fail = record_victims
+        return sim.run(), evacuated
+
+    def test_evacuated_vms_are_resident(self, faulted):
+        result, evacuated = faulted
+        assert result.fault_report.evacuations_succeeded > 0
+        active = [
+            result.vms[vm_id]
+            for vm_id in sorted(evacuated)
+            if result.vms[vm_id].state is VMState.ACTIVE
+        ]
+        assert active
+        for vm in active:
+            node = result.region.find_node(vm.node_id)
+            assert node.vms[vm.vm_id] is vm
+            allocation = result.placement.allocation_for(vm.vm_id)
+            assert allocation.provider_id == node.building_block
+
+    def test_provider_usage_equals_sum_of_allocations(self, faulted):
+        placement = faulted[0].placement
+        for provider in placement.providers():
+            allocations = placement.allocations_on(provider.provider_id)
+            for rc in provider.inventory:
+                assert provider.used.get(rc, 0.0) == sum(
+                    a.amounts.get(rc, 0.0) for a in allocations
+                )
+
+
 class TestDrsDegradation:
     def _loaded_bb(self):
         bb = make_bb("bb0", nodes=3)

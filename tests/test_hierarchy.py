@@ -80,6 +80,70 @@ class TestBuildingBlock:
         assert {vm.vm_id for vm in bb.vms()} == {"a", "b"}
 
 
+class TestPickNode:
+    """``BuildingBlock.pick_node``: the node choice every landing path uses."""
+
+    SMALL = Capacity(vcpus=1, memory_mb=1024)
+
+    @staticmethod
+    def _load(bb, **vms_by_node):
+        """``n1=(vcpus, ram_gib)`` puts one VM of that size on ``<bb>-n1``."""
+        for suffix, (vcpus, ram_gib) in vms_by_node.items():
+            bb.nodes[f"{bb.bb_id}-{suffix}"].add_vm(
+                _vm(f"vm-{suffix}", vcpus=vcpus, ram_gib=ram_gib)
+            )
+
+    def test_pack_picks_highest_memory_fraction(self):
+        bb = make_bb("bb", nodes=3, policy="pack")
+        # n0 holds the most vCPUs, n1 the most memory: pack goes by memory.
+        self._load(bb, n0=(32, 16), n1=(2, 128), n2=(4, 64))
+        assert bb.pick_node(self.SMALL).node_id == "bb-n1"
+
+    def test_spread_picks_lowest_vcpu_fraction(self):
+        bb = make_bb("bb", nodes=3, policy="spread")
+        # n1 holds the fewest vCPUs but the most memory: spread goes by vCPU.
+        self._load(bb, n0=(8, 8), n1=(2, 256), n2=(4, 4))
+        assert bb.pick_node(self.SMALL).node_id == "bb-n1"
+
+    @pytest.mark.parametrize(
+        ("policy", "winner"), [("spread", "bb-n0"), ("pack", "bb-n3")]
+    )
+    def test_node_id_breaks_ties(self, policy, winner):
+        bb = make_bb("bb", nodes=0, policy=policy)
+        # Members join out of id order: the tie-break is by id, not order.
+        for i in (1, 3, 0, 2):
+            bb.add_node(make_node(f"bb-n{i}"))
+        assert bb.pick_node(self.SMALL).node_id == winner
+        # Equal load again, on every node: the same tie-break decides.
+        self._load(bb, n0=(4, 32), n1=(4, 32), n2=(4, 32), n3=(4, 32))
+        assert bb.pick_node(self.SMALL).node_id == winner
+
+    @pytest.mark.parametrize("flag", ["failed", "maintenance", "quarantined"])
+    @pytest.mark.parametrize("policy", ["spread", "pack"])
+    def test_unhealthy_nodes_are_skipped(self, flag, policy):
+        bb = make_bb("bb", nodes=2, policy=policy)
+        first = bb.pick_node(self.SMALL)
+        setattr(first, flag, True)
+        second = bb.pick_node(self.SMALL)
+        assert second is not None and second is not first
+        setattr(second, flag, True)
+        assert bb.pick_node(self.SMALL) is None
+
+    def test_fit_is_judged_under_the_overcommit_ratio(self):
+        request = Capacity(vcpus=200, memory_mb=1024)
+        # 64 physical vCPUs per node: 200 fit only at a 4x CPU ratio.
+        assert make_bb("bb", nodes=2, cpu_ratio=4.0).pick_node(request) is not None
+        assert make_bb("bb", nodes=2, cpu_ratio=1.0).pick_node(request) is None
+
+    def test_none_when_no_node_has_room(self):
+        bb = make_bb("bb", nodes=2, memory_gib=64)
+        self._load(bb, n0=(1, 48), n1=(1, 60))
+        assert bb.pick_node(Capacity(vcpus=1, memory_mb=17 * 1024)) is None
+        # 16 GiB still fits next to n0's 48 GiB.
+        fits = bb.pick_node(Capacity(vcpus=1, memory_mb=16 * 1024))
+        assert fits.node_id == "bb-n0"
+
+
 class TestRegionWiring:
     def test_ids_propagate_down(self, tiny_region):
         for node in tiny_region.iter_nodes():

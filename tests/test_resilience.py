@@ -410,7 +410,6 @@ class TestInventoryReconciler:
 
         sched = _Sched()
         sched.index = index
-        sched.invalidate_host = index.invalidate
         sim = _SimStub(region, placement, scheduler=sched)
         # Corrupt the cached view directly (a drift placement never saw).
         state = index.states()[0]
